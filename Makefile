@@ -1,26 +1,17 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test bench bench-json bench-diff trace-smoke audit-smoke \
-	sched-smoke fleet-smoke model-smoke health-smoke smoke clean
+.PHONY: all build test trace-smoke audit-smoke fleet-smoke model-smoke \
+	health-smoke unused-exports smoke clean
 
 all: build
 
 build:
 	dune build
 
+# Includes the golden-output test (every experiment's stdout against
+# test/golden/all.expected) and the reference-queue property.
 test:
 	dune runtest
-
-bench:
-	dune exec bench/main.exe
-
-bench-json:
-	dune exec bench/main.exe -- --micro-only --json
-
-# Compare the latest two BENCH_<date>.json snapshots; fails on a >20%
-# regression. A no-op (exit 0) with fewer than two snapshots.
-bench-diff:
-	dune exec bench/diff.exe
 
 # Run one experiment with the trace recorder armed, then validate the
 # exported Chrome trace (parses, >0 events) with the CLI's own checker.
@@ -36,19 +27,6 @@ audit-smoke:
 	dune exec bin/psbox_sim.exe -- --audit-out _build/audit-smoke.txt \
 		--flame-out _build/flame-smoke.txt budget
 	dune exec bin/psbox_sim.exe -- audit-check _build/audit-smoke.txt
-
-# Run every experiment under both event-queue backends and require the
-# outputs to be byte-identical: the timing wheel must realise the exact
-# (time, seq) total order of the reference binary heap. A third leg turns
-# event-slot pooling off (a fresh record per event) and requires the same
-# bytes again: handle recycling must be invisible in the output.
-sched-smoke:
-	dune exec bin/psbox_sim.exe -- all --sched heap > _build/sched-heap.txt
-	dune exec bin/psbox_sim.exe -- all --sched wheel > _build/sched-wheel.txt
-	cmp _build/sched-heap.txt _build/sched-wheel.txt
-	dune exec bin/psbox_sim.exe -- all --pool off > _build/sched-nopool.txt
-	cmp _build/sched-wheel.txt _build/sched-nopool.txt
-	@echo "sched-smoke: heap/wheel/no-pool outputs byte-identical"
 
 # Run a small fleet sequentially and sharded over 4 domains, and require
 # the two JSON reports to be byte-identical: the work-stealing pool and
@@ -84,20 +62,25 @@ health-smoke:
 	cmp _build/health-smoke-1.json _build/health-smoke-2.json
 	@echo "health-smoke: drift fired, model hot-swapped, post-swap MAPE < 5%, log byte-stable"
 
-# Fast end-to-end confidence: full build, the whole test suite, one reduced
-# experiment driven through the real CLI, a validated trace export, a
-# bit-exactly conserved joule audit, and heap/wheel output equality.
+# Fail on any `val` in lib/**/*.mli that nothing outside its own module
+# names (no allowlist: delete the export, or use it).
+unused-exports:
+	bash tools/unused_exports.sh
+
+# Fast end-to-end confidence: full build, the whole test suite (including
+# the golden output of every experiment), one reduced experiment driven
+# through the real CLI, a validated trace export, a bit-exactly conserved
+# joule audit, and no unused exports.
 smoke:
 	dune build
 	dune runtest
 	dune exec bin/psbox_sim.exe -- run fig3
 	$(MAKE) trace-smoke
 	$(MAKE) audit-smoke
-	$(MAKE) sched-smoke
 	$(MAKE) fleet-smoke
 	$(MAKE) model-smoke
 	$(MAKE) health-smoke
-	dune exec bench/diff.exe
+	$(MAKE) unused-exports
 
 clean:
 	dune clean

@@ -83,44 +83,6 @@ let audit_out_arg =
   in
   Arg.(value & opt (some string) None & info [ "audit-out" ] ~docv:"FILE" ~doc)
 
-let sched_arg =
-  let backends = [ ("heap", `Heap); ("wheel", `Wheel) ] in
-  let doc =
-    "Event-queue implementation: $(b,wheel) (hierarchical timing wheel, \
-     the default) or $(b,heap) (the reference binary heap). Both realise \
-     the same total event order, so experiment output is byte-identical \
-     under either (verified by $(b,make sched-smoke))."
-  in
-  Arg.(
-    value
-    & opt (enum backends) (Psbox_engine.Sim.default_backend ())
-    & info [ "sched" ] ~docv:"SCHED" ~doc)
-
-let pool_arg =
-  let modes = [ ("on", true); ("off", false) ] in
-  let doc =
-    "Event-slot pooling: $(b,on) (the default; events recycle \
-     generation-stamped slot records through a free list, so the steady \
-     state event loop does not allocate) or $(b,off) (a fresh record per \
-     event — the pre-pool baseline for A/B allocation measurements). \
-     Output is byte-identical either way (verified by the pool leg of \
-     $(b,make sched-smoke))."
-  in
-  Arg.(
-    value
-    & opt (enum modes) (Psbox_engine.Sim.default_pooling ())
-    & info [ "pool" ] ~docv:"on|off" ~doc)
-
-(* Evaluated before any command body runs (cmdliner applies term arguments
-   left to right), so wrapping a command term in [with_pool] gives it the
-   --pool flag without threading one more parameter through its run
-   function. *)
-let with_pool t =
-  Term.(
-    const (fun () r -> r)
-    $ (const Psbox_engine.Sim.set_default_pooling $ pool_arg)
-    $ t)
-
 let seed_arg =
   let doc =
     "Override every selected experiment's built-in seed with $(docv). Each \
@@ -145,11 +107,10 @@ let with_formatter_to path f =
   Format.pp_print_flush fmt ();
   close_out oc
 
-let run_ids sched seed trace_out metrics metrics_out audit_out flame_out
+let run_ids seed trace_out metrics metrics_out audit_out flame_out
     health_out ids =
-  Psbox_engine.Sim.set_default_backend sched;
-  (* Auditing is the default: a pure observer whose cost the probe bench
-     bounds. Report mode (which retains every machine for the final
+  (* Auditing is the default: a pure observer (perfbench's soak ledger
+     prices it). Report mode (which retains every machine for the final
      report) is only armed when a report was actually requested. *)
   Audit.enable ();
   if audit_out <> None || flame_out <> None then Audit.set_report_mode true;
@@ -240,25 +201,22 @@ let run_cmd =
     Arg.(non_empty & pos_all string [] & info [] ~docv:"ID" ~doc:"experiment id")
   in
   Cmd.v (Cmd.info "run" ~doc)
-    (with_pool
-       Term.(
-         const run_ids $ sched_arg $ seed_arg $ trace_out_arg $ metrics_arg
-         $ metrics_out_arg $ audit_out_arg $ flame_out_arg $ health_out_arg
-         $ ids))
+    Term.(
+      const run_ids $ seed_arg $ trace_out_arg $ metrics_arg $ metrics_out_arg
+      $ audit_out_arg $ flame_out_arg $ health_out_arg $ ids)
 
 let all_cmd =
   let doc = "Run every experiment in paper order." in
-  let run sched seed trace_out metrics metrics_out audit_out flame_out
+  let run seed trace_out metrics metrics_out audit_out flame_out
       health_out =
-    run_ids sched seed trace_out metrics metrics_out audit_out flame_out
+    run_ids seed trace_out metrics metrics_out audit_out flame_out
       health_out
       (List.map (fun e -> e.Registry.e_id) Registry.all)
   in
   Cmd.v (Cmd.info "all" ~doc)
-    (with_pool
-       Term.(
-         const run $ sched_arg $ seed_arg $ trace_out_arg $ metrics_arg
-         $ metrics_out_arg $ audit_out_arg $ flame_out_arg $ health_out_arg))
+    Term.(
+      const run $ seed_arg $ trace_out_arg $ metrics_arg $ metrics_out_arg
+      $ audit_out_arg $ flame_out_arg $ health_out_arg)
 
 let fleet_cmd =
   let doc =
@@ -321,9 +279,8 @@ let fleet_cmd =
     in
     Arg.(value & flag & info [ "health" ] ~doc)
   in
-  let run sched devices jobs seed scenario fleet_out health =
-    Psbox_engine.Sim.set_default_backend sched;
-    if not (List.mem scenario Fleet.scenario_ids) then begin
+  let run devices jobs seed scenario fleet_out health =
+      if not (List.mem scenario Fleet.scenario_ids) then begin
       Printf.eprintf "unknown scenario %S; available: %s\n" scenario
         (String.concat ", " Fleet.scenario_ids);
       exit 2
@@ -358,10 +315,9 @@ let fleet_cmd =
   in
   Cmd.v
     (Cmd.info "fleet" ~doc ~man)
-    (with_pool
-       Term.(
-         const run $ sched_arg $ devices_arg $ jobs_arg $ fleet_seed_arg
-         $ scenario_arg $ fleet_out_arg $ health_arg))
+    Term.(
+      const run $ devices_arg $ jobs_arg $ fleet_seed_arg $ scenario_arg
+      $ fleet_out_arg $ health_arg)
 
 let trace_check_cmd =
   let doc =
@@ -551,10 +507,9 @@ let model_check_cmd =
     in
     Arg.(value & flag & info [ "self-heal" ] ~doc)
   in
-  let run sched seed_a seed_b window_ms windows perturb max_mape expect_drift
+  let run seed_a seed_b window_ms windows perturb max_mape expect_drift
       model_out self_heal =
-    Psbox_engine.Sim.set_default_backend sched;
-    if window_ms <= 0 || windows <= 0 then begin
+      if window_ms <= 0 || windows <= 0 then begin
       Printf.eprintf "model-check: --window-ms and --windows must be positive\n";
       exit 2
     end;
@@ -626,10 +581,9 @@ let model_check_cmd =
   in
   Cmd.v
     (Cmd.info "model-check" ~doc ~man)
-    (with_pool
-       Term.(
-         const run $ sched_arg $ seed_a $ seed_b $ window_ms $ windows
-         $ perturb $ max_mape $ expect_drift $ model_out $ self_heal))
+    Term.(
+      const run $ seed_a $ seed_b $ window_ms $ windows $ perturb $ max_mape
+      $ expect_drift $ model_out $ self_heal)
 
 let health_check_cmd =
   let doc =
@@ -705,10 +659,9 @@ let health_check_cmd =
     Arg.(
       value & opt (some string) None & info [ "report-out" ] ~docv:"FILE" ~doc)
   in
-  let run sched seed_a seed_b window_ms windows perturb drift_threshold
+  let run seed_a seed_b window_ms windows perturb drift_threshold
       max_mape expect_heal health_out report_out =
-    Psbox_engine.Sim.set_default_backend sched;
-    if window_ms <= 0 || windows <= 0 then begin
+      if window_ms <= 0 || windows <= 0 then begin
       Printf.eprintf
         "health-check: --window-ms and --windows must be positive\n";
       exit 2
@@ -757,31 +710,27 @@ let health_check_cmd =
   in
   Cmd.v
     (Cmd.info "health-check" ~doc ~man)
-    (with_pool
-       Term.(
-         const run $ sched_arg $ seed_a $ seed_b $ window_ms $ windows
-         $ perturb $ drift_threshold $ max_mape $ expect_heal $ health_out
-         $ report_out))
+    Term.(
+      const run $ seed_a $ seed_b $ window_ms $ windows $ perturb
+      $ drift_threshold $ max_mape $ expect_heal $ health_out $ report_out)
 
 (* Default command: bare experiment ids work without the `run` subcommand
    (`psbox_sim --trace-out t.json budget`). *)
 let default_term =
   let ids = Arg.(value & pos_all string [] & info [] ~docv:"ID") in
-  let run sched seed trace_out metrics metrics_out audit_out flame_out
+  let run seed trace_out metrics metrics_out audit_out flame_out
       health_out ids =
     match ids with
     | [] -> `Help (`Pager, None)
     | ids ->
-        run_ids sched seed trace_out metrics metrics_out audit_out flame_out
+        run_ids seed trace_out metrics metrics_out audit_out flame_out
           health_out ids;
         `Ok ()
   in
   Term.(
     ret
-      (with_pool
-         (const run $ sched_arg $ seed_arg $ trace_out_arg $ metrics_arg
-        $ metrics_out_arg $ audit_out_arg $ flame_out_arg $ health_out_arg
-        $ ids)))
+      (const run $ seed_arg $ trace_out_arg $ metrics_arg $ metrics_out_arg
+     $ audit_out_arg $ flame_out_arg $ health_out_arg $ ids))
 
 let () =
   let doc = "psbox reproduction: the paper's experiments on the simulator" in

@@ -399,12 +399,6 @@ let remaining_w ctl =
   | None -> infinity
   | Some b -> b -. reserved_w ctl
 
-let set_machine_budget ctl w =
-  (match w with
-  | Some b when b < 0.0 -> invalid_arg "Budget.set_machine_budget: negative"
-  | Some _ | None -> ());
-  ctl.machine_budget_w <- w
-
 let set_admission_estimate ctl f = ctl.admission_estimate <- f
 
 (* Effective reservation: the declared watts, cross-checked against the

@@ -105,8 +105,6 @@ val stop : t -> unit
     Reservations are watts promised, not watts measured; the control loop
     above enforces that promises hold. *)
 
-val set_machine_budget : t -> float option -> unit
-
 val set_admission_estimate : t -> (int -> float option) option -> unit
 (** Wire in a modeled-draw oracle (typically
     [Psbox_model.Model.Estimator.app_est_w]): while set, each reservation

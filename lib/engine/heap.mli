@@ -1,7 +1,7 @@
 (** A mutable binary min-heap.
 
-    Used as the backing store of the event queue. Elements are ordered by a
-    user-supplied comparison fixed at creation time. *)
+    Used as the timing wheel's per-granule ready queue ({!Wheel}). Elements
+    are ordered by a user-supplied comparison fixed at creation time. *)
 
 type 'a t
 

@@ -40,7 +40,6 @@ let float rng x =
   v /. 9007199254740992.0 *. x
 
 let bool rng = Int64.logand (bits64 rng) 1L = 1L
-let bernoulli rng ~p = float rng 1.0 < p
 let uniform rng ~lo ~hi = lo +. float rng (hi -. lo)
 
 let exponential rng ~mean =

@@ -18,9 +18,6 @@ val derive : seed:int -> int -> int
     agree. This is how a fleet seed fans out into per-device seeds.
     @raise Invalid_argument if [i < 0]. *)
 
-val bits64 : t -> int64
-(** The next raw 64-bit output. *)
-
 val int : t -> int -> int
 (** [int rng n] is uniform in [\[0, n)]. @raise Invalid_argument if [n <= 0]. *)
 
@@ -28,9 +25,6 @@ val float : t -> float -> float
 (** [float rng x] is uniform in [\[0, x)]. *)
 
 val bool : t -> bool
-
-val bernoulli : t -> p:float -> bool
-(** [bernoulli rng ~p] is [true] with probability [p]. *)
 
 val uniform : t -> lo:float -> hi:float -> float
 

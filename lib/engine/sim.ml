@@ -13,8 +13,6 @@ let g_depth_max = Tm.gauge "sim.queue_depth_max"
 
 type state = Pending | Fired | Cancelled
 
-type backend = [ `Heap | `Wheel ]
-
 type handle = int
 (* (generation lsl idx_bits) lor idx, or [none] *)
 
@@ -33,7 +31,6 @@ let no_label = -1
 let label_mu = Mutex.create ()
 let label_ids : (string, int) Hashtbl.t = Hashtbl.create 16
 let label_cells : Tm.counter array Atomic.t = Atomic.make [||]
-let label_names : string array Atomic.t = Atomic.make [||]
 
 let label name =
   Mutex.protect label_mu (fun () ->
@@ -44,29 +41,23 @@ let label name =
           let id = Array.length cells in
           let c = Tm.counter ("sim.events." ^ name) in
           Atomic.set label_cells (Array.append cells [| c |]);
-          Atomic.set label_names
-            (Array.append (Atomic.get label_names) [| name |]);
           Hashtbl.add label_ids name id;
           id)
 
-let label_name l = (Atomic.get label_names).(l)
 let count_label l = Tm.incr (Atomic.get label_cells).(l)
 
 (* ------------------------------------------------------------------ *)
 (* Pooled event slots                                                   *)
 
 (* A scheduled event lives in a [slot] record owned by the simulator's
-   pool; the queue backends store slot pointers. The public [handle] is an
+   pool; the queue stores slot pointers. The public [handle] is an
    immediate int packing (generation, pool index): when a slot physically
    leaves the queue (fire, head-discard, bulk reap) it is released — its
    generation bumps and its index returns to the free stack — so a stale
    handle to a recycled slot no longer matches and [cancel]/[cancelled]
-   on it are no-ops. With pooling on (the default) the released record
-   itself is reused by the next [schedule_at], making the steady-state
-   schedule/fire cycle allocation-free; with pooling off only the index is
-   reused and every event gets a fresh record (the pre-pool behavior, kept
-   as an A/B baseline for the qcheck equivalence property and
-   bench/probe.exe). *)
+   on it are no-ops. The released record itself is reused by the next
+   [schedule_at], making the steady-state schedule/fire cycle
+   allocation-free. *)
 type slot = {
   mutable s_time : Time.t;
   mutable s_seq : int;
@@ -76,20 +67,15 @@ type slot = {
   s_idx : int;
 }
 
-(* Two interchangeable queue implementations behind one total order: the
-   classic binary heap (O(log n) everywhere, the reference) and the
-   hierarchical timing wheel (O(1) insert, cursor-advance pops). Both yield
-   the exact (time, seq) order, so a run's output is byte-identical under
-   either — enforced by `make sched-smoke` and bench/diff.exe. *)
-and queue = QHeap of slot Heap.t | QWheel of slot Wheel.t
-
-and t = {
+(* The queue is the hierarchical timing wheel (O(1) insert, cursor-advance
+   pops) realising the exact (time, seq) total order; test/test_engine.ml
+   checks it against a naive reference queue. *)
+type t = {
   mutable clock : Time.t;
   mutable next_seq : int;
-  q : queue;
+  q : slot Wheel.t;
   mutable dead : int; (* cancelled slots still buried in the queue *)
-  pool : bool; (* recycle slot records (not just indices)? *)
-  mutable slots : slot array; (* idx -> live record (dummy if pool off) *)
+  mutable slots : slot array; (* idx -> record ([dummy_slot] until used) *)
   mutable gens : int array; (* idx -> current generation *)
   mutable free : int array; (* free-index stack, [0 .. n_free-1] live *)
   mutable n_free : int;
@@ -117,38 +103,22 @@ let idx_mask = (1 lsl idx_bits) - 1
 let none = -1
 let is_none h = h < 0
 
-(* The default backend is domain-local: a worker domain (fleet shard)
-   choosing its backend never races with, or leaks into, any other domain.
-   Fresh domains start on the wheel; a CLI --sched choice must be re-applied
-   inside each spawned domain (the fleet pool does). Pooling follows the
-   same pattern for the --pool A/B toggle. *)
-let default_key = Domain.DLS.new_key (fun () -> (`Wheel : backend))
-let set_default_backend b = Domain.DLS.set default_key b
-let default_backend () = Domain.DLS.get default_key
-let pooling_key = Domain.DLS.new_key (fun () -> true)
-let set_default_pooling b = Domain.DLS.set pooling_key b
-let default_pooling () = Domain.DLS.get pooling_key
+let default_backend () = `Wheel
+let default_pooling () = true
 
 (* Retired simulators waiting for reuse (scratch-buffer recycling across
    fleet devices): domain-local, so shards never share one. *)
 let retired_key = Domain.DLS.new_key (fun () -> ([] : t list))
 let max_retired = 4
 
-let make ~backend ~pool =
-  let q =
-    match backend with
-    | `Heap -> QHeap (Heap.create ~cmp:compare_slot)
-    | `Wheel ->
-        QWheel
-          (Wheel.create ~dummy:dummy_slot ~cmp:compare_slot
-             ~time:(fun s -> s.s_time) ())
-  in
+let make () =
   {
     clock = Time.zero;
     next_seq = 0;
-    q;
+    q =
+      Wheel.create ~dummy:dummy_slot ~cmp:compare_slot
+        ~time:(fun s -> s.s_time) ();
     dead = 0;
-    pool;
     slots = [||];
     gens = [||];
     free = [||];
@@ -159,31 +129,12 @@ let make ~backend ~pool =
     gauges_dirty = false;
   }
 
-let backend sim = match sim.q with QHeap _ -> `Heap | QWheel _ -> `Wheel
-let pooling sim = sim.pool
-
-let create ?backend ?pooling () =
-  let backend =
-    match backend with Some b -> b | None -> default_backend ()
-  in
-  let pool =
-    match pooling with Some p -> p | None -> default_pooling ()
-  in
-  let retired = Domain.DLS.get retired_key in
-  let rec take acc = function
-    | [] -> make ~backend ~pool
-    | sim :: rest ->
-        if
-          sim.pool = pool
-          && (match sim.q with QHeap _ -> `Heap | QWheel _ -> `Wheel)
-             = backend
-        then begin
-          Domain.DLS.set retired_key (List.rev_append acc rest);
-          sim
-        end
-        else take (sim :: acc) rest
-  in
-  take [] retired
+let create () =
+  match Domain.DLS.get retired_key with
+  | [] -> make ()
+  | sim :: rest ->
+      Domain.DLS.set retired_key rest;
+      sim
 
 (* Invalidate every outstanding handle, empty the queue, rewind the clock,
    and hand the carcass (queue storage, slot pool, free stack) to the next
@@ -191,13 +142,11 @@ let create ?backend ?pooling () =
    the per-device warm-up allocations happen once per worker, not once per
    device. *)
 let retire sim =
-  (match sim.q with QHeap q -> Heap.clear q | QWheel w -> Wheel.clear w);
+  Wheel.clear sim.q;
   for i = 0 to sim.hi - 1 do
     sim.gens.(i) <- sim.gens.(i) + 1;
-    (if sim.pool then
-       let s = sim.slots.(i) in
-       s.s_fn <- noop (* drop closures so retired pools pin no user state *)
-     else sim.slots.(i) <- dummy_slot);
+    (* drop closures so retired pools pin no user state *)
+    sim.slots.(i).s_fn <- noop;
     sim.free.(i) <- sim.hi - 1 - i
   done;
   sim.n_free <- sim.hi;
@@ -210,23 +159,6 @@ let retire sim =
   let retired = Domain.DLS.get retired_key in
   if List.length retired < max_retired then
     Domain.DLS.set retired_key (sim :: retired)
-
-let q_push sim s =
-  match sim.q with QHeap q -> Heap.push q s | QWheel w -> Wheel.push w s
-
-let q_size sim =
-  match sim.q with QHeap q -> Heap.size q | QWheel w -> Wheel.size w
-
-let q_top sim =
-  match sim.q with QHeap q -> Heap.top q | QWheel w -> Wheel.top w
-
-let q_drop sim =
-  match sim.q with QHeap q -> Heap.drop q | QWheel w -> Wheel.drop w
-
-let q_filter sim ~keep =
-  match sim.q with
-  | QHeap q -> Heap.filter_in_place q ~keep
-  | QWheel w -> Wheel.filter_in_place w ~keep
 
 let now sim = sim.clock
 
@@ -249,23 +181,13 @@ let grow_pool sim =
     sim.free <- free
   end
 
-(* Take a slot for a new event. With pooling on, a recycled index reuses
-   its record in place (no allocation); a fresh index allocates its record
-   once, at pool high-water growth. With pooling off, every event gets a
-   fresh record. *)
+(* Take a slot for a new event. A recycled index reuses its record in
+   place (no allocation); a fresh index allocates its record once, at pool
+   high-water growth. *)
 let alloc_slot sim =
   if sim.n_free > 0 then begin
     sim.n_free <- sim.n_free - 1;
-    let idx = sim.free.(sim.n_free) in
-    if sim.pool then sim.slots.(idx)
-    else begin
-      let s =
-        { s_time = 0; s_seq = 0; s_fn = noop; s_state = Pending;
-          s_label = no_label; s_idx = idx }
-      in
-      sim.slots.(idx) <- s;
-      s
-    end
+    sim.slots.(sim.free.(sim.n_free))
   end
   else begin
     grow_pool sim;
@@ -287,7 +209,6 @@ let release sim s =
   let idx = s.s_idx in
   sim.gens.(idx) <- sim.gens.(idx) + 1;
   s.s_fn <- noop;
-  if not sim.pool then sim.slots.(idx) <- dummy_slot;
   sim.free.(sim.n_free) <- idx;
   sim.n_free <- sim.n_free + 1
 
@@ -317,7 +238,7 @@ let schedule_at sim ?(label = no_label) time fn =
   s.s_state <- Pending;
   s.s_label <- label;
   sim.next_seq <- sim.next_seq + 1;
-  q_push sim s;
+  Wheel.push sim.q s;
   Tm.incr m_scheduled;
   handle_of_slot sim s
 
@@ -329,10 +250,10 @@ let schedule_after sim ?label span fn =
    events, so the queue tracks the live population instead of growing with
    churn. *)
 let maybe_reap sim =
-  if sim.dead > 64 && sim.dead * 2 > q_size sim then begin
+  if sim.dead > 64 && sim.dead * 2 > Wheel.size sim.q then begin
     Tm.incr m_reap_passes;
     Tm.add m_reaped (float_of_int sim.dead);
-    q_filter sim ~keep:(fun s ->
+    Wheel.filter_in_place sim.q ~keep:(fun s ->
         if s.s_state = Pending then true
         else begin
           release sim s;
@@ -357,11 +278,11 @@ let cancelled sim h = (deref sim h).s_state = Cancelled
    run dominated by either {!run} or {!run_until} still reaps in bulk.
    Returns whether a live head event exists (allocation-free — no option). *)
 let rec has_live_top sim =
-  q_size sim > 0
+  Wheel.size sim.q > 0
   &&
-  let s = q_top sim in
+  let s = Wheel.top sim.q in
   if s.s_state = Cancelled then begin
-    q_drop sim;
+    Wheel.drop sim.q;
     sim.dead <- sim.dead - 1;
     release sim s;
     maybe_reap sim;
@@ -377,14 +298,14 @@ let rec has_live_top sim =
 let flush_gauges sim =
   if sim.gauges_dirty then begin
     sim.gauges_dirty <- false;
-    Tm.set g_depth (float_of_int (q_size sim));
+    Tm.set g_depth (float_of_int (Wheel.size sim.q));
     Tm.set_max g_depth_max (float_of_int sim.depth_max)
   end
 
 let note_fired sim =
   Tm.incr m_fired;
   sim.fired_n <- sim.fired_n + 1;
-  let depth = q_size sim in
+  let depth = Wheel.size sim.q in
   if depth > sim.depth_max then sim.depth_max <- depth;
   sim.gauges_dirty <- true;
   if sim.fired_n land 4095 = 0 then begin
@@ -400,8 +321,8 @@ let note_fired sim =
    callback may immediately reuse the slot for what it schedules. The
    fields the fire needs are read out first. *)
 let fire_top sim =
-  let s = q_top sim in
-  q_drop sim;
+  let s = Wheel.top sim.q in
+  Wheel.drop sim.q;
   sim.clock <- s.s_time;
   let fn = s.s_fn in
   let lbl = s.s_label in
@@ -413,7 +334,7 @@ let fire_top sim =
 
 let run_until sim limit =
   let rec loop () =
-    if has_live_top sim && (q_top sim).s_time <= limit then begin
+    if has_live_top sim && (Wheel.top sim.q).s_time <= limit then begin
       fire_top sim;
       loop ()
     end
@@ -432,8 +353,8 @@ let run sim =
   loop ();
   flush_gauges sim
 
-let pending sim = q_size sim - sim.dead
-let queue_length sim = q_size sim
+let pending sim = Wheel.size sim.q - sim.dead
+let queue_length sim = Wheel.size sim.q
 
 (* ------------------------------------------------------------------ *)
 (* Periodic events                                                      *)

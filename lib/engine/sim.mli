@@ -40,42 +40,19 @@ val none : handle
 
 val is_none : handle -> bool
 
-type backend = [ `Heap | `Wheel ]
-(** Event-queue implementation: the reference binary heap, or the
-    hierarchical timing wheel ({!Wheel}). Both realise the exact
-    [(time, seq)] total order, so every run is byte-identical under
-    either; the wheel makes insert O(1) and pop cost proportional to the
-    current granule's population. *)
+val create : unit -> t
+(** A simulator at time zero with an empty queue: the hierarchical timing
+    wheel ({!Wheel}), whose insert is O(1) and whose pop cost is
+    proportional to the current granule's population. Reuses a {!retire}d
+    simulator when one is available on this domain. *)
 
-val create : ?backend:backend -> ?pooling:bool -> unit -> t
-(** [create ()] uses the domain's default backend (initially [`Wheel];
-    see {!set_default_backend}) and pooling mode (initially on; see
-    {!set_default_pooling}). Reuses a {!retire}d simulator of the same
-    configuration when one is available on this domain. *)
-
-val set_default_backend : backend -> unit
-(** Set the backend used by subsequent {!create} calls without an explicit
-    [?backend] — the hook for a [--sched heap|wheel] CLI flag. The setting
-    is domain-local: each domain picks its own default (fresh domains start
-    on [`Wheel]), so concurrent fleet shards never race on it. *)
-
-val default_backend : unit -> backend
-
-val set_default_pooling : bool -> unit
-(** Set whether subsequent {!create} calls recycle event-slot records
-    (default [true]) — the hook for the [--pool on|off] A/B toggle. With
-    pooling off every event allocates a fresh record (the pre-pool
-    behavior); fire order and experiment output are identical either way
-    (a qcheck property and the pool leg of [make sched-smoke] prove it).
-    Domain-local, like {!set_default_backend}. *)
+val default_backend : unit -> [> `Wheel ]
+(** The event-queue implementation, for provenance records: always
+    [`Wheel]. *)
 
 val default_pooling : unit -> bool
-
-val backend : t -> backend
-(** The queue implementation this simulator is running on. *)
-
-val pooling : t -> bool
-(** Whether this simulator recycles event-slot records. *)
+(** Whether event slots are recycled, for provenance records: always
+    [true]. *)
 
 val now : t -> Time.t
 (** The current simulated time. *)
@@ -90,9 +67,6 @@ val label : string -> label
 (** Intern [name], resolving its [sim.events.<name>] counter. Idempotent;
     safe from any domain. Resolve once at subsystem creation, not per
     schedule call. *)
-
-val label_name : label -> string
-(** The name [l] was interned from (diagnostics). *)
 
 val schedule_at : t -> ?label:label -> Time.t -> (unit -> unit) -> handle
 (** [schedule_at sim t f] runs [f] when the clock reaches [t]. [?label]
@@ -122,10 +96,10 @@ val run : t -> unit
 
 val retire : t -> unit
 (** Return [sim]'s scratch storage (queue arrays, slot pool) to a small
-    domain-local cache for reuse by the next {!create} of the same
-    configuration, invalidating every outstanding handle. The simulator
-    must not be used afterwards. Fleet shards retire each device's
-    simulator so per-device warm-up allocation happens once per worker. *)
+    domain-local cache for reuse by the next {!create}, invalidating every
+    outstanding handle. The simulator must not be used afterwards. Fleet
+    shards retire each device's simulator so per-device warm-up allocation
+    happens once per worker. *)
 
 val pending : t -> int
 (** Number of live events still scheduled. Cancelled events are excluded,

@@ -54,11 +54,6 @@ let summarize xs =
     max = max xs;
   }
 
-let pp_summary fmt s =
-  Format.fprintf fmt
-    "n=%d mean=%.4g sd=%.4g min=%.4g p50=%.4g p95=%.4g p99=%.4g max=%.4g" s.n
-    s.mean s.stddev s.min s.p50 s.p95 s.p99 s.max
-
 type histogram = { lo : float; hi : float; counts : int array }
 
 let histogram xs ~bins =
@@ -76,3 +71,42 @@ let histogram xs ~bins =
       counts.(i) <- counts.(i) + 1)
     xs;
   { lo; hi; counts }
+
+(* Gaussian elimination with partial pivoting; mutates its arguments. *)
+let solve ~min_pivot a b =
+  let n = Array.length b in
+  for col = 0 to n - 1 do
+    let pivot = ref col in
+    for row = col + 1 to n - 1 do
+      if Float.abs a.(row).(col) > Float.abs a.(!pivot).(col) then pivot := row
+    done;
+    if Float.abs a.(!pivot).(col) < min_pivot then
+      invalid_arg
+        (Printf.sprintf
+           "Stats.solve: singular system (column %d pivot below %g)" col
+           min_pivot);
+    if !pivot <> col then begin
+      let tmp = a.(col) in
+      a.(col) <- a.(!pivot);
+      a.(!pivot) <- tmp;
+      let tmp = b.(col) in
+      b.(col) <- b.(!pivot);
+      b.(!pivot) <- tmp
+    end;
+    for row = col + 1 to n - 1 do
+      let f = a.(row).(col) /. a.(col).(col) in
+      for k = col to n - 1 do
+        a.(row).(k) <- a.(row).(k) -. (f *. a.(col).(k))
+      done;
+      b.(row) <- b.(row) -. (f *. b.(col))
+    done
+  done;
+  let x = Array.make n 0.0 in
+  for row = n - 1 downto 0 do
+    let acc = ref b.(row) in
+    for k = row + 1 to n - 1 do
+      acc := !acc -. (a.(row).(k) *. x.(k))
+    done;
+    x.(row) <- !acc /. a.(row).(row)
+  done;
+  x

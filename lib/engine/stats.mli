@@ -30,10 +30,15 @@ type summary = {
 
 val summarize : float array -> summary
 
-val pp_summary : Format.formatter -> summary -> unit
-
 type histogram = { lo : float; hi : float; counts : int array }
 
 val histogram : float array -> bins:int -> histogram
 (** Fixed-width histogram between the sample min and max.
     @raise Invalid_argument if [bins <= 0] or the input is empty. *)
+
+val solve : min_pivot:float -> float array array -> float array -> float array
+(** [solve ~min_pivot a b] solves the square system [a x = b] by Gaussian
+    elimination with partial pivoting, overwriting [a] and [b]. The one
+    linear solver behind every least-squares fit.
+    @raise Invalid_argument if a pivot's magnitude falls below [min_pivot]
+    (a singular or collinear system). *)

@@ -105,11 +105,6 @@ let breakpoints tl =
   in
   build (tl.len - 1) []
 
-let iter_breakpoints tl ~f =
-  for i = 0 to tl.len - 1 do
-    f tl.times.(i) tl.values.(i)
-  done
-
 let energy_at tl t =
   let i = if t < tl.times.(0) then 0 else index_at tl t in
   tl.dropped_j +. tl.cum.(i) +. (tl.values.(i) *. Time.to_sec_f (t - tl.times.(i)))

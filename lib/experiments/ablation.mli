@@ -26,7 +26,5 @@ type window = (int * float) list
 (** (dispatch window, observed command overlap in ms). *)
 
 val cpu_confinement : ?seed:int -> unit -> confinement
-val gpu_confinement : ?seed:int -> unit -> confinement
 val state_virtualization : ?seed:int -> unit -> vstate
-val dispatch_window : ?seed:int -> unit -> window
 val run : ?seed:int -> unit -> Report.t * (confinement * confinement * vstate * window)

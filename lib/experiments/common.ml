@@ -7,11 +7,6 @@ module Psbox = Psbox_core.Psbox
 module Usage = Psbox_accounting.Usage
 module W = Psbox_workloads.Workload
 
-let measure_rate sys app ~key span =
-  let c0 = System.counter app key in
-  System.run_for sys span;
-  (System.counter app key -. c0) /. Time.to_sec_f span
-
 type job = {
   t0 : Time.t;
   t1 : Time.t;

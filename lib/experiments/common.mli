@@ -2,11 +2,6 @@
 
 module System = Psbox_kernel.System
 
-val measure_rate :
-  System.t -> System.app -> key:string -> Psbox_engine.Time.span -> float
-(** Advance the simulation by a span and return the app's counter rate per
-    second over it. *)
-
 type job = {
   t0 : Psbox_engine.Time.t;
   t1 : Psbox_engine.Time.t;

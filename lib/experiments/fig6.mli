@@ -20,9 +20,4 @@ type row = {
   row_chart : Report.series list;
 }
 
-val cpu_row : ?seed:int -> unit -> row
-val dsp_row : ?seed:int -> unit -> row
-val gpu_row : ?seed:int -> unit -> row
-val wifi_row : ?seed:int -> unit -> row
-
 val run : ?seed:int -> unit -> Report.t * row list

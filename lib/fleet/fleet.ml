@@ -329,14 +329,7 @@ let pool_map ~jobs n f =
             end
           end)
     in
-    (* Fresh domains default to `Wheel with pooling on; propagate the
-       caller's --sched and --pool choices so device event queues behave
-       identically in every shard. *)
-    let backend = Sim.default_backend () in
-    let pooling = Sim.default_pooling () in
     let worker w () =
-      Sim.set_default_backend backend;
-      Sim.set_default_pooling pooling;
       let rec go () =
         match take w with
         | Some i ->

@@ -63,7 +63,6 @@ type kind =
 type rule = { r_name : string; r_subject : string; r_kind : kind }
 
 let rule_name r = r.r_name
-let rule_subject r = r.r_subject
 
 let threshold ~name ?subject ?(below = false) ?(for_windows = 1) signal limit =
   if for_windows < 1 then invalid_arg "Health.threshold: for_windows < 1";

@@ -39,7 +39,6 @@ type signal =
 type rule
 
 val rule_name : rule -> string
-val rule_subject : rule -> string
 
 val threshold :
   name:string ->

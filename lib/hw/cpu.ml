@@ -122,7 +122,6 @@ let set_core_busy cpu ~core busy =
     if (not was_active) && is_active then Bus.publish cpu.activity ()
   end
 
-let core_busy cpu ~core = cpu.busy.(core)
 let freq_mhz cpu = (Dvfs.current (dvfs_exn cpu)).Dvfs.freq_mhz
 
 let busy_core_seconds cpu = Time.to_sec_f (total_busy_time cpu)

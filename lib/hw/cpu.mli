@@ -35,7 +35,6 @@ val set_core_busy : t -> core:int -> bool -> unit
 (** Mark a core as executing (or idle). Drives rail power and governor
     utilization. Idempotent. *)
 
-val core_busy : t -> core:int -> bool
 val busy_cores : t -> int
 val freq_mhz : t -> int
 

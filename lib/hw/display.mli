@@ -39,8 +39,6 @@ val set_surface : t -> app:int -> pixels:int -> luminance:float -> unit
 
 val remove_surface : t -> app:int -> unit
 
-val lit_pixels : t -> int
-
 val on : t -> bool
 (** The panel is on while any surface is lit. *)
 

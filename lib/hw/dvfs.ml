@@ -73,11 +73,6 @@ and sample d ~up_threshold ~sampling =
       arm d ~up_threshold ~sampling
   end
 
-let parked d =
-  match d.governor with
-  | Ondemand _ -> Sim.is_none d.next && not d.stopped
-  | _ -> false
-
 let unpark d =
   match d.governor with
   | Ondemand { up_threshold; sampling } ->

@@ -63,10 +63,6 @@ val create :
     [sim.events.dvfs.<name>], and traced transitions appear as a lane
     of the ["hw.dvfs"] track with a [<name>.freq_mhz] counter timeline. *)
 
-val parked : t -> bool
-(** An ondemand governor with no armed sample (idle device at the bottom
-    OPP, waiting for activity). Always [false] for other governors. *)
-
 val name : t -> string
 
 val changes : t -> change Psbox_engine.Bus.t

@@ -39,7 +39,6 @@ val subscribe : t -> app:int -> unit
 val unsubscribe : t -> app:int -> unit
 (** The last unsubscribe powers the receiver off immediately. *)
 
-val subscribed : t -> app:int -> bool
 val subscribers : t -> int
 
 val app_rail : t -> app:int -> Power_rail.t

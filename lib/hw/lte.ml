@@ -20,7 +20,6 @@ type t = {
   queue : pending Queue.t;
   mutable demote : Sim.handle;
   sent : (int, int) Hashtbl.t;
-  mutable log : (int * Time.t * Time.t) list; (* newest first *)
 }
 
 let create sim ?(name = "lte") ?(rate_mbps = 20.0) ?(idle_w = 0.02)
@@ -43,7 +42,6 @@ let create sim ?(name = "lte") ?(rate_mbps = 20.0) ?(idle_w = 0.02)
     queue = Queue.create ();
     demote = Sim.none;
     sent = Hashtbl.create 4;
-    log = [];
   }
 
 let rail r = r.rail
@@ -90,7 +88,6 @@ let rec transmit_next r =
     | None -> arm_demotion r
     | Some p ->
         r.on_air <- true;
-        let t0 = Sim.now r.sim in
         let airtime =
           Time.of_sec_f (float_of_int (p.p_bytes * 8) /. r.rate_bps)
         in
@@ -103,7 +100,6 @@ let rec transmit_next r =
                  | None -> 0
                in
                Hashtbl.replace r.sent p.p_app (cur + p.p_bytes);
-               r.log <- (p.p_app, t0, Sim.now r.sim) :: r.log;
                p.p_done ();
                transmit_next r))
 
@@ -131,5 +127,3 @@ let send r ~app ~bytes ~on_sent =
 
 let sent_bytes r ~app =
   match Hashtbl.find_opt r.sent app with Some n -> n | None -> 0
-
-let tx_log r = List.rev r.log

@@ -40,8 +40,5 @@ val send : t -> app:int -> bytes:int -> on_sent:(unit -> unit) -> unit
 
 val sent_bytes : t -> app:int -> int
 
-val tx_log : t -> (int * Psbox_engine.Time.t * Psbox_engine.Time.t) list
-(** (app, air start, air end) per transfer, oldest first. *)
-
 (** There is deliberately no [power_state]/[restore_power_state] pair here:
     the RRC machine belongs to the network. *)

@@ -11,12 +11,15 @@ type pkt = {
   mutable air_end : Time.t option;
 }
 
-let next_pkt_id = ref 0
+(* Domain-local, like Task and Entity ids, so concurrent device
+   simulations number their packets without racing on a shared counter. *)
+let next_pkt_id = Domain.DLS.new_key (fun () -> ref 0)
 
 let packet ~app ~socket ~bytes ?(dir = `Tx) () =
-  incr next_pkt_id;
+  let next = Domain.DLS.get next_pkt_id in
+  incr next;
   {
-    id = !next_pkt_id;
+    id = !next;
     app;
     socket;
     bytes;
@@ -242,8 +245,6 @@ let awake_seconds nic =
   Time.to_sec_f (nic.awake_accum + extra)
 
 let tx_level_count nic = Array.length nic.tx_levels
-let tx_level_w nic i = nic.tx_levels.(i)
-let rx_w nic = nic.rx_w
 
 let tx_airtime_by_level_seconds nic =
   Array.init (Array.length nic.tx_levels) (fun i ->
@@ -286,7 +287,6 @@ let restore_power_state nic st =
   end
 
 let virtual_macs nic = nic.vmacs
-let current_mac nic = nic.mac
 
 let switch_mac nic ~mac =
   if mac <> nic.mac then begin

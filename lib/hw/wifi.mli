@@ -118,11 +118,6 @@ val rx_airtime_seconds : t -> float
 
 val tx_level_count : t -> int
 
-val tx_level_w : t -> int -> float
-(** The extra on-air draw of TX level [i] (ground truth, for tests). *)
-
-val rx_w : t -> float
-
 (** {1 Power-state virtualization support} *)
 
 type power_state = { tx_level : int; awake : bool }
@@ -137,7 +132,6 @@ val restore_power_state : t -> power_state -> unit
 (** {1 Virtual MACs} *)
 
 val virtual_macs : t -> bool
-val current_mac : t -> int
 
 val switch_mac : t -> mac:int -> unit
 (** No-op if already on [mac]. Without virtual-MAC support this resets the

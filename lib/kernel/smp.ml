@@ -96,7 +96,6 @@ type t = {
   mutable live : balloon option;
   trace : (int * int) Trace.spans;
   mutable latencies : (int * float) list; (* (app, wake-to-run us), newest first *)
-  mutable on_task_exit : Task.t -> unit;
   mutable stopped : bool;
   share_bus : share_change Bus.t;
   share_counts : (int, int) Hashtbl.t; (* app -> cores currently running it *)
@@ -142,7 +141,6 @@ let create sim cpu ?(config = default_config) () =
     live = None;
     trace = Trace.spans ();
     latencies = [];
-    on_task_exit = (fun _ -> ());
     stopped = false;
     share_bus = Bus.create ();
     share_counts = Hashtbl.create 16;
@@ -168,7 +166,6 @@ let create sim cpu ?(config = default_config) () =
 
 let cpu smp = smp.cpu
 let cores smp = Array.length smp.rqs
-let set_on_task_exit smp f = smp.on_task_exit <- f
 
 let app_tasks smp ~app =
   match Hashtbl.find_opt smp.apps app with Some l -> !l | None -> []
@@ -434,8 +431,7 @@ and reap smp t =
                 List.filter (fun t' -> t'.Task.tid <> t.Task.tid) g.Entity.gtasks
           | Entity.ETask _ -> ())
         b.b_entities
-  | None -> Hashtbl.remove smp.task_entities t.Task.tid);
-  smp.on_task_exit t
+  | None -> Hashtbl.remove smp.task_entities t.Task.tid)
 
 and start_task smp core t =
   t.Task.state <- Task.Running;
@@ -1273,8 +1269,6 @@ let quota smp ~app =
   | Some q -> Some q.q_limit
   | None -> None
 
-let quota_throttled smp ~app = throttled_app smp app
-
 (* ------------------------------------------------------------------ *)
 (* Sandbox / unsandbox                                                  *)
 
@@ -1401,31 +1395,3 @@ let set_balloon_listener b ~on_start ~on_stop =
 let balloon_intervals b = List.rev b.b_intervals
 let balloon_live b = b.b_live
 let total_loan_issued b = b.b_total_loan
-
-let debug_dump smp =
-  let buf = Buffer.create 256 in
-  for core = 0 to cores smp - 1 do
-    let rq = smp.rqs.(core) in
-    Buffer.add_string buf (Printf.sprintf "core%d curr=" core);
-    (match Cfs.curr rq with
-    | Some e ->
-        Buffer.add_string buf
-          (Printf.sprintf "eid%d(%s,vrt=%.0f,onrq=%b) " e.Entity.eid
-             (match e.Entity.kind with
-             | Entity.ETask t -> "task" ^ string_of_int t.Task.tid
-             | Entity.EGroup g -> "grp" ^ string_of_int g.Entity.psbox_id)
-             e.Entity.vruntime e.Entity.on_rq)
-    | None -> Buffer.add_string buf "none ");
-    Buffer.add_string buf "q=[";
-    List.iter
-      (fun e ->
-        Buffer.add_string buf
-          (Printf.sprintf "eid%d(%s,vrt=%.0f,onrq=%b);" e.Entity.eid
-             (match e.Entity.kind with
-             | Entity.ETask t -> "task" ^ string_of_int t.Task.tid
-             | Entity.EGroup g -> "grp" ^ string_of_int g.Entity.psbox_id)
-             e.Entity.vruntime e.Entity.on_rq))
-      (Cfs.queued rq);
-    Buffer.add_string buf "]\n"
-  done;
-  Buffer.contents buf

@@ -64,8 +64,6 @@ val wake : t -> Task.t -> unit
 (** Make a blocked task runnable (no-op with a pending-wake mark if it has
     not blocked yet — the race where completion beats the block). *)
 
-val set_on_task_exit : t -> (Task.t -> unit) -> unit
-
 val app_tasks : t -> app:int -> Task.t list
 
 (** {1 Per-app CPU quotas (power-budget actuation)}
@@ -86,9 +84,6 @@ val set_quota : t -> app:int -> float option -> unit
     byte-identical to a build without quotas. *)
 
 val quota : t -> app:int -> float option
-
-val quota_throttled : t -> app:int -> bool
-(** The app is currently off the runqueues waiting for a refill. *)
 
 (** {1 Share bus (live attribution)} *)
 
@@ -142,8 +137,3 @@ val running_app : t -> core:int -> int option
 
 val stop : t -> unit
 (** Cancel all armed timers (end of simulation). *)
-
-(**/**)
-
-val debug_dump : t -> string
-(** Internal diagnostics; subject to change. *)

@@ -27,11 +27,6 @@ let capture daq rail ~from ~until =
       incr k);
   out
 
-let capture_many daq rails ~from ~until =
-  List.map
-    (fun rail -> (Psbox_hw.Power_rail.name rail, capture daq rail ~from ~until))
-    rails
-
 (* ------------------------------------------------------------------ *)
 (* Live monitoring: a bus subscriber instead of a poller.               *)
 

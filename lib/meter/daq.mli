@@ -31,15 +31,6 @@ val capture :
   Sample.t array
 (** Timestamped samples of a rail over a window. *)
 
-val capture_many :
-  t ->
-  Psbox_hw.Power_rail.t list ->
-  from:Psbox_engine.Time.t ->
-  until:Psbox_engine.Time.t ->
-  (string * Sample.t array) list
-(** Capture several rails simultaneously (same timestamps), keyed by rail
-    name. *)
-
 (** {1 Live monitoring}
 
     A monitor subscribes to a rail's transition bus and integrates energy

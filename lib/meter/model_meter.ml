@@ -2,7 +2,6 @@ open Psbox_engine
 
 type t = { intercept : float; coeffs : float array }
 
-let of_coeffs ~intercept coeffs = { intercept; coeffs }
 let intercept m = m.intercept
 let coeffs m = m.coeffs
 
@@ -12,43 +11,6 @@ let predict m utils =
   let acc = ref m.intercept in
   Array.iteri (fun i u -> acc := !acc +. (m.coeffs.(i) *. u)) utils;
   !acc
-
-(* Solve the square system [a] x = [b] by Gaussian elimination with partial
-   pivoting; mutates its arguments. *)
-let solve a b =
-  let n = Array.length b in
-  for col = 0 to n - 1 do
-    let pivot = ref col in
-    for row = col + 1 to n - 1 do
-      if Float.abs a.(row).(col) > Float.abs a.(!pivot).(col) then pivot := row
-    done;
-    if Float.abs a.(!pivot).(col) < 1e-12 then
-      invalid_arg "Model_meter.fit: singular system (collinear inputs)";
-    if !pivot <> col then begin
-      let tmp = a.(col) in
-      a.(col) <- a.(!pivot);
-      a.(!pivot) <- tmp;
-      let tmp = b.(col) in
-      b.(col) <- b.(!pivot);
-      b.(!pivot) <- tmp
-    end;
-    for row = col + 1 to n - 1 do
-      let f = a.(row).(col) /. a.(col).(col) in
-      for k = col to n - 1 do
-        a.(row).(k) <- a.(row).(k) -. (f *. a.(col).(k))
-      done;
-      b.(row) <- b.(row) -. (f *. b.(col))
-    done
-  done;
-  let x = Array.make n 0.0 in
-  for row = n - 1 downto 0 do
-    let acc = ref b.(row) in
-    for k = row + 1 to n - 1 do
-      acc := !acc -. (a.(row).(k) *. x.(k))
-    done;
-    x.(row) <- !acc /. a.(row).(row)
-  done;
-  x
 
 let fit observations =
   match observations with
@@ -78,7 +40,7 @@ let fit observations =
             done
           done)
         observations;
-      let beta = solve xtx xty in
+      let beta = Stats.solve ~min_pivot:1e-12 xtx xty in
       { intercept = beta.(0); coeffs = Array.sub beta 1 dim }
 
 (* ------------------------------------------------------------------ *)

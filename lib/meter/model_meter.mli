@@ -14,8 +14,6 @@
 type t
 (** A fitted or hand-written linear model. *)
 
-val of_coeffs : intercept:float -> float array -> t
-
 val intercept : t -> float
 
 val coeffs : t -> float array

@@ -215,51 +215,12 @@ let samplers sys =
 module Fit = struct
   type kind = Linear | Per_opp
 
-  let kind_label = function Linear -> "linear" | Per_opp -> "per_opp"
-
   type fitted = {
     f_rail : string;
     f_kind : kind;
     f_names : string array;
     f_coeffs : float array;
   }
-
-  (* Gaussian elimination with partial pivoting; mutates its arguments. *)
-  let solve a b =
-    let n = Array.length b in
-    for col = 0 to n - 1 do
-      let pivot = ref col in
-      for row = col + 1 to n - 1 do
-        if Float.abs a.(row).(col) > Float.abs a.(!pivot).(col) then
-          pivot := row
-      done;
-      if Float.abs a.(!pivot).(col) < 1e-30 then
-        invalid_arg "Model.Fit: singular system";
-      if !pivot <> col then begin
-        let tmp = a.(col) in
-        a.(col) <- a.(!pivot);
-        a.(!pivot) <- tmp;
-        let tmp = b.(col) in
-        b.(col) <- b.(!pivot);
-        b.(!pivot) <- tmp
-      end;
-      for row = col + 1 to n - 1 do
-        let f = a.(row).(col) /. a.(col).(col) in
-        for k = col to n - 1 do
-          a.(row).(k) <- a.(row).(k) -. (f *. a.(col).(k))
-        done;
-        b.(row) <- b.(row) -. (f *. b.(col))
-      done
-    done;
-    let x = Array.make n 0.0 in
-    for row = n - 1 downto 0 do
-      let acc = ref b.(row) in
-      for k = row + 1 to n - 1 do
-        acc := !acc -. (a.(row).(k) *. x.(k))
-      done;
-      x.(row) <- !acc /. a.(row).(row)
-    done;
-    x
 
   (* Ridge least squares without an intercept (dt is an explicit feature,
      so an intercept would be collinear with it). The tiny ridge keeps the
@@ -287,7 +248,7 @@ module Fit = struct
         for i = 0 to d - 1 do
           xtx.(i).(i) <- xtx.(i).(i) +. ridge
         done;
-        solve xtx xty
+        Stats.solve ~min_pivot:1e-30 xtx xty
 
   let project ~kind (trace : Trace.t) feat =
     match kind with
@@ -635,11 +596,6 @@ module Estimator = struct
             ~args:[ ("swaps", float_of_int t.e_swaps) ]
             (Sim.now (System.sim t.e_sys));
         true
-
-  let est_w t ~rail =
-    List.find_opt (fun er -> er.er_s.s_rail = rail) t.e_rails
-    |> Option.map (fun er ->
-           Tm.gauge_value er.er_g_est)
 
   (* Modeled history for one app: its attributed draw since the estimator
      started, scaled by the model's cumulative modeled/ledger ratio — the

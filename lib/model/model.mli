@@ -42,8 +42,6 @@ module Fit : sig
     | Linear  (** aggregate features (busy time regardless of OPP) *)
     | Per_opp  (** per-OPP residency features — exact for this hardware *)
 
-  val kind_label : kind -> string
-
   type fitted = {
     f_rail : string;
     f_kind : kind;
@@ -56,14 +54,7 @@ module Fit : sig
       a tiny ridge (default [1e-9]) so all-zero columns (an OPP never
       visited) solve to ~0 instead of failing. *)
 
-  val project : kind:kind -> Trace.t -> float array -> float array
-  (** Collapse a per-OPP feature vector to the trace's aggregate schema
-      ([Linear]); identity for [Per_opp]. *)
-
   val fit : ?ridge:float -> kind:kind -> Trace.t -> fitted
-
-  val predict_j : fitted -> float array -> float
-  (** Predicted joules for one window's (projected) feature deltas. *)
 
   type errors = {
     e_mape_pct : float;  (** mean absolute percentage error per window *)
@@ -142,9 +133,6 @@ module Estimator : sig
       the new model) while the residency cursors carry over. Counts under
       [model.swaps] and emits a ["swap"] trace instant. [false] if the
       estimator observes no such rail. *)
-
-  val est_w : t -> rail:string -> float option
-  (** Latest per-window model estimate for a rail, in watts. *)
 
   val app_est_w : t -> app:int -> float option
   (** Modeled mean draw attributed to [app] since the estimator started:

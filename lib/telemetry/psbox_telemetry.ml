@@ -406,7 +406,6 @@ module Metrics = struct
   }
 
   let rate name = { r_name = name; r_prev = None }
-  let rate_name r = r.r_name
 
   let rate_sample r ~now_s =
     match find r.r_name with

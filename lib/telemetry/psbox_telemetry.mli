@@ -96,8 +96,6 @@ module Metrics : sig
   (** A fresh tracker over the named counter or gauge. The metric does not
       have to exist yet. *)
 
-  val rate_name : rate -> string
-
   val rate_sample : rate -> now_s:float -> float option
   (** Record the metric's current value at [now_s] and return
       [(value - previous) / (now_s - previous_t)]. [None] on the first

@@ -133,10 +133,6 @@ let spawn sys ~app ~name ?(core = 0) ?(weight = 1024.0) script =
   Smp.spawn (System.smp sys) t;
   t
 
-let spawn_per_core sys ~app ~name mk =
-  List.init (Smp.cores (System.smp sys)) (fun core ->
-      spawn sys ~app ~name:(Printf.sprintf "%s.%d" name core) ~core (mk ~core))
-
 let app_alive sys app =
   Smp.app_tasks (System.smp sys) ~app:app.System.app_id <> []
 

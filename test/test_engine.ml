@@ -255,6 +255,27 @@ let test_stats_histogram () =
   check_int "bin0" 2 h.Stats.counts.(0);
   check_int "bin1" 2 h.Stats.counts.(1)
 
+(* A system whose first column has a zero leading entry, so elimination
+   must pivot to reach the exact solution x = (1, -2, 3). *)
+let test_stats_solve_known () =
+  let a = [| [| 0.0; 2.0; 1.0 |]; [| 1.0; 1.0; 1.0 |]; [| 2.0; 1.0; -1.0 |] |] in
+  let b = [| -1.0; 2.0; -3.0 |] in
+  let x = Stats.solve ~min_pivot:1e-12 a b in
+  check_float "x0" 1.0 x.(0);
+  check_float "x1" (-2.0) x.(1);
+  check_float "x2" 3.0 x.(2)
+
+(* Collinear rows leave a zero pivot: rejected at either caller's
+   threshold, never answered with infinities. *)
+let test_stats_solve_singular () =
+  List.iter
+    (fun min_pivot ->
+      let a = [| [| 1.0; 2.0 |]; [| 2.0; 4.0 |] |] in
+      match Stats.solve ~min_pivot a [| 1.0; 2.0 |] with
+      | _ -> Alcotest.fail "singular system solved"
+      | exception Invalid_argument _ -> ())
+    [ 1e-12; 1e-30 ]
+
 let prop_stats_mean_bounds =
   QCheck.Test.make ~name:"mean is between min and max" ~count:300
     QCheck.(list_of_size Gen.(1 -- 50) (float_range (-100.0) 100.0))
@@ -397,7 +418,7 @@ let test_sim_stale_handle_no_ops () =
   Sim.run_until sim 20;
   check_int "first fired" 1 !fired;
   check_bool "fired handle reads done" false (Sim.cancelled sim h1);
-  (* with pooling on, the next event reuses h1's slot index *)
+  (* the next event reuses h1's slot index *)
   ignore (Sim.schedule_at sim 30 (fun () -> incr fired));
   Sim.cancel sim h1;
   (* stale cancel: a no-op *)
@@ -634,100 +655,144 @@ let test_wheel_cascade_boundaries () =
     (Invalid_argument "Wheel.push: negative time") (fun () ->
       Wheel.push w (-1))
 
-(* Heap and wheel must realise the exact same (time, seq) total order:
-   interpret a random program of schedule/cancel/run_until ops against
-   both backends and require identical fire sequences, firing clocks,
-   observed pending counts, and final clocks. Far-future schedules (the
-   [* 2_000_000] arm) push events past the wheel's 19.5 h horizon, so the
-   overflow cascade is on the tested path. *)
-let prop_backends_agree =
-  QCheck.Test.make ~name:"heap and wheel realise the same schedule"
-    ~count:100
-    QCheck.(list (triple (int_bound 3) (int_bound 200_000_000) bool))
-    (fun ops ->
-      let trace backend =
-        let sim = Sim.create ~backend () in
-        let log = ref [] in
-        let handles = ref [] in
-        let k = ref 0 in
-        List.iter
-          (fun (op, dt, far) ->
-            match op with
-            | 0 | 3 ->
-                incr k;
-                let id = !k in
-                let dt = if far && op = 0 then dt * 2_000_000 else dt in
-                handles :=
-                  Sim.schedule_after sim dt (fun () ->
-                      log := (id, Sim.now sim) :: !log)
-                  :: !handles
-            | 1 -> (
-                match !handles with
-                | h :: rest when far ->
-                    Sim.cancel sim h;
-                    handles := rest
-                | _ -> ())
-            | _ ->
-                Sim.run_until sim (Sim.now sim + dt);
-                log := (-1, Sim.now sim) :: !log;
-                log := (-2, Sim.pending sim) :: !log)
-          ops;
-        Sim.run sim;
-        (List.rev !log, Sim.now sim, Sim.pending sim)
-      in
-      trace `Heap = trace `Wheel)
+(* The simulator must realise exactly the schedule of the naive reference
+   queue ({!Ref_queue}: a sorted list, fresh ids, nothing recycled). Each
+   random program runs in lockstep against both; the fire order, firing
+   clocks, pending count after every op and final clock must match, and
+   [Sim.cancelled] must never read true for an event the reference says
+   fired or was never cancelled. The programs cover:
+   - far-future schedules past the wheel's ~19.5 h horizon, so the
+     overflow cascade is on the tested path;
+   - events that schedule a follow-up from their callback (possibly at
+     the same instant), reusing the slot released by the fire;
+   - cancels of live events, and stale or double cancels of any event
+     ever scheduled, so cancel-after-recycle staleness is exercised;
+   - programs of 150+ events, which cross the bulk-reap threshold;
+   - recycled simulators: each case retires its sim, so the next case's
+     [Sim.create] reuses the carcass. *)
+type sim_op =
+  | Sched of int
+  | Sched_far of int
+  | Sched_chain of int
+  | Cancel_live of int
+  | Cancel_any of int
+  | Run_until of int
 
-(* Slot pooling must be invisible: a pooled sim and a fresh-handles sim
-   (pooling off — every event allocates its own record, the pre-pool
-   behavior) must realise identical (id, time) fire orders, pending counts
-   and cancelled-query answers under random schedule / cancel / stale-
-   cancel / reap interleavings. Ops 1 and 2 cancel live and {e retired}
-   handles respectively, so cancel-after-recycle staleness is on the
-   tested path; 150+-event programs cross the bulk-reap threshold. *)
-let prop_pooling_invisible =
-  QCheck.Test.make ~name:"pooled and fresh-handle sims realise the same schedule"
-    ~count:100
-    QCheck.(list (pair (int_bound 4) (int_bound 50_000_000)))
-    (fun ops ->
-      let trace pooling =
-        let sim = Sim.create ~pooling () in
-        let log = ref [] in
-        let live = ref [] and old = ref [] in
-        let k = ref 0 in
-        List.iter
-          (fun (op, dt) ->
-            match op with
-            | 0 | 3 ->
-                incr k;
-                let id = !k in
-                let h =
-                  Sim.schedule_after sim (dt mod 5_000_000) (fun () ->
-                      log := (id, Sim.now sim) :: !log)
-                in
-                live := h :: !live
-            | 1 -> (
-                match !live with
-                | h :: rest ->
-                    Sim.cancel sim h;
-                    live := rest;
-                    old := h :: !old
-                | [] -> ())
-            | 2 -> (
-                (* stale or double cancel, plus a cancelled query *)
-                match !old with
-                | h :: _ ->
-                    Sim.cancel sim h;
-                    log := ((if Sim.cancelled sim h then -3 else -4), 0) :: !log
-                | [] -> ())
-            | _ ->
-                Sim.run_until sim (Sim.now sim + dt);
-                log := (-1, Sim.now sim) :: !log;
-                log := (-2, Sim.pending sim) :: !log)
-          ops;
-        Sim.run sim;
-        (List.rev !log, Sim.now sim, Sim.pending sim)
+let pp_sim_op = function
+  | Sched d -> Printf.sprintf "Sched %d" d
+  | Sched_far d -> Printf.sprintf "Sched_far %d" d
+  | Sched_chain d -> Printf.sprintf "Sched_chain %d" d
+  | Cancel_live k -> Printf.sprintf "Cancel_live %d" k
+  | Cancel_any k -> Printf.sprintf "Cancel_any %d" k
+  | Run_until d -> Printf.sprintf "Run_until %d" d
+
+let sim_program ~cancel_weight ~run_weight ~run_bound =
+  QCheck.Gen.(
+    frequency
+      [
+        (8, map (fun d -> Sched d) (int_bound 5_000_000));
+        (2, map (fun d -> Sched_far (d * 2_000_000)) (int_bound 200_000_000));
+        (2, map (fun d -> Sched_chain d) (oneofl [ 0; 1; 65_536; 1_000_000 ]));
+        (cancel_weight, map (fun k -> Cancel_live k) (int_bound 16));
+        (2, map (fun k -> Cancel_any k) (int_bound 64));
+        (run_weight, map (fun d -> Run_until d) (int_bound run_bound));
+      ])
+
+let arb_sim_program =
+  QCheck.make
+    ~print:(QCheck.Print.list pp_sim_op)
+    QCheck.Gen.(
+      oneof
+        [
+          list_size (int_bound 40)
+            (sim_program ~cancel_weight:5 ~run_weight:3 ~run_bound:20_000_000);
+          (* long, cancel-heavy and slow-moving: tombstones pile up past
+             the bulk-reap threshold in about half of these *)
+          list_size (int_range 150 600)
+            (sim_program ~cancel_weight:10 ~run_weight:1 ~run_bound:1_000_000);
+        ])
+
+let prop_sim_matches_reference =
+  QCheck.Test.make ~name:"sim realises the reference queue's schedule"
+    ~count:150 arb_sim_program (fun ops ->
+      let sim = Sim.create () and r = Ref_queue.create () in
+      (* event k is the k-th schedule on either side; the reference's ids
+         are exactly these ordinals *)
+      let handles = Hashtbl.create 64 and n = ref 0 in
+      let sim_log = ref [] and ref_log = ref [] in
+      let rec sim_sched dt ~chain =
+        let k = !n in
+        incr n;
+        Hashtbl.replace handles k
+          (Sim.schedule_after sim dt (fun () ->
+               sim_log := (k, Sim.now sim) :: !sim_log;
+               if chain then sim_sched dt ~chain:false))
       in
-      trace true = trace false)
+      let rec ref_sched dt ~chain =
+        let id = ref (-1) in
+        id :=
+          Ref_queue.schedule_after r dt (fun () ->
+              ref_log := (!id, Ref_queue.now r) :: !ref_log;
+              if chain then ref_sched dt ~chain:false)
+      in
+      let sched dt ~chain =
+        sim_sched dt ~chain;
+        ref_sched dt ~chain
+      in
+      (* [cancelled] may read false for a reaped tombstone, never true for
+         an event that is not cancelled *)
+      let honest = ref true in
+      let check_cancelled k =
+        if
+          Sim.cancelled sim (Hashtbl.find handles k)
+          && Ref_queue.status r k <> Ref_queue.Cancelled
+        then honest := false
+      in
+      let cancel k =
+        check_cancelled k;
+        Sim.cancel sim (Hashtbl.find handles k);
+        Ref_queue.cancel r k;
+        check_cancelled k
+      in
+      let newest ~live k =
+        let rec go id k =
+          if id < 0 then None
+          else if live && Ref_queue.status r id <> Ref_queue.Pending then
+            go (id - 1) k
+          else if k = 0 then Some id
+          else go (id - 1) (k - 1)
+        in
+        go (!n - 1) k
+      in
+      let pend_sim = ref [] and pend_ref = ref [] in
+      List.iter
+        (fun op ->
+          (match op with
+          | Sched d | Sched_far d -> sched d ~chain:false
+          | Sched_chain d -> sched d ~chain:true
+          | Cancel_live k -> Option.iter cancel (newest ~live:true k)
+          | Cancel_any k -> Option.iter cancel (newest ~live:false k)
+          | Run_until d ->
+              Sim.run_until sim (Sim.now sim + d);
+              Ref_queue.run_until r (Ref_queue.now r + d);
+              for k = 0 to !n - 1 do
+                check_cancelled k
+              done);
+          pend_sim := (Sim.now sim, Sim.pending sim) :: !pend_sim;
+          pend_ref := (Ref_queue.now r, Ref_queue.pending r) :: !pend_ref)
+        ops;
+      Sim.run sim;
+      Ref_queue.run r;
+      let agree =
+        !honest
+        && !pend_sim = !pend_ref
+        && Sim.now sim = Ref_queue.now r
+        && Sim.pending sim = 0
+        && Ref_queue.pending r = 0
+        && !sim_log = !ref_log
+      in
+      Sim.retire sim;
+      agree)
 
 let qcheck = QCheck_alcotest.to_alcotest
 
@@ -755,6 +820,8 @@ let suite =
     ("stats basics", `Quick, test_stats_basics);
     ("stats percentile", `Quick, test_stats_percentile);
     ("stats histogram", `Quick, test_stats_histogram);
+    ("stats solve known system", `Quick, test_stats_solve_known);
+    ("stats solve rejects singular", `Quick, test_stats_solve_singular);
     ("trace events", `Quick, test_trace_events);
     ("trace spans", `Quick, test_trace_spans);
     ("trace double open", `Quick, test_trace_double_open);
@@ -783,6 +850,5 @@ let suite =
     qcheck prop_timeline_integral_additive;
     qcheck prop_timeline_integral_nonneg;
     qcheck prop_stats_mean_bounds;
-    qcheck prop_backends_agree;
-    qcheck prop_pooling_invisible;
+    qcheck prop_sim_matches_reference;
   ]

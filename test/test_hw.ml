@@ -308,6 +308,23 @@ let test_wifi_virtual_mac_switch_free () =
   check_bool "stays associated" true (Wifi.associated nic);
   ignore sim
 
+(* Command and packet ids are domain-local: whatever the main domain has
+   numbered, a freshly spawned domain (a fleet worker) starts its own
+   numbering at 1 instead of racing on a shared counter. *)
+let test_ids_domain_local () =
+  for _ = 1 to 3 do
+    ignore (Accel.command ~app:1 ~kind:"k" ~work_s:0.001 ());
+    ignore (Wifi.packet ~app:1 ~socket:0 ~bytes:100 ())
+  done;
+  let cmd_id, pkt_id =
+    Domain.join
+      (Domain.spawn (fun () ->
+           ( (Accel.command ~app:1 ~kind:"k" ~work_s:0.001 ()).Accel.id,
+             (Wifi.packet ~app:1 ~socket:0 ~bytes:100 ()).Wifi.id )))
+  in
+  check_int "first command id in a fresh domain" 1 cmd_id;
+  check_int "first packet id in a fresh domain" 1 pkt_id
+
 let suite =
   [
     ("rail energy", `Quick, test_rail_energy);
@@ -330,4 +347,5 @@ let suite =
     ("wifi mode adaptation", `Quick, test_wifi_mode_adaptation);
     ("wifi mac switch resets association", `Quick, test_wifi_mac_switch_resets_assoc);
     ("wifi virtual mac switch is free", `Quick, test_wifi_virtual_mac_switch_free);
+    ("command and packet ids domain-local", `Quick, test_ids_domain_local);
   ]

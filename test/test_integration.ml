@@ -1,5 +1,5 @@
 (* Integration tests: the paper's headline claims, end to end, in reduced
-   form. These exercise the same code paths as bench/main.exe. *)
+   form. These exercise the same code paths as `psbox_sim all`. *)
 open Psbox_engine
 module System = Psbox_kernel.System
 module Psbox = Psbox_core.Psbox
