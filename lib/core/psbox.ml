@@ -41,7 +41,8 @@ type binding = {
   b_vstate : Power_vstate.t option;
       (* devices with entanglement-free attribution (display, GPS) need no
          state virtualization *)
-  mutable b_closed : (Time.t * Time.t) list; (* newest first *)
+  mutable b_closed : (Time.t * Time.t) list;
+      (* balloons closed since the current stay began, newest first *)
   mutable b_open : Time.t option;
   mutable b_attach : unit -> unit;
   mutable b_detach : unit -> unit;
@@ -80,21 +81,38 @@ type t = {
   mutable last_stay_blame : (string * float) list;
 }
 
-(* Global registry enforcing one psbox per (system, app, target). *)
-let registry : (Obj.t * int * target) list ref = ref []
+(* Registry enforcing one psbox per (system, app, target). Domain-local,
+   like the audit switchboard: boxes created in one domain never race with,
+   or see, another domain's. Keyed by machine uid (unique within a domain)
+   with a weak pointer to the machine, so an undestroyed box does not keep
+   its machine reachable; entries whose machine was collected are swept
+   when the table has doubled since the last sweep. *)
+type registry = {
+  boxes : (int * int * target, System.t Weak.t) Hashtbl.t;
+  mutable sweep_at : int;
+}
+
+let registry_key : registry Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> { boxes = Hashtbl.create 8; sweep_at = 8 })
 
 let registered sys app target =
-  List.exists
-    (fun (s, a, tg) -> s == Obj.repr sys && a = app && tg = target)
-    !registry
+  Hashtbl.mem (Domain.DLS.get registry_key).boxes (System.uid sys, app, target)
 
-let register sys app target = registry := (Obj.repr sys, app, target) :: !registry
+let register sys app target =
+  let reg = Domain.DLS.get registry_key in
+  if Hashtbl.length reg.boxes >= reg.sweep_at then begin
+    Hashtbl.filter_map_inplace
+      (fun _ w -> if Weak.check w 0 then Some w else None)
+      reg.boxes;
+    reg.sweep_at <- max 8 (2 * Hashtbl.length reg.boxes)
+  end;
+  let w = Weak.create 1 in
+  Weak.set w 0 (Some sys);
+  Hashtbl.replace reg.boxes (System.uid sys, app, target) w
 
 let unregister sys app target =
-  registry :=
-    List.filter
-      (fun (s, a, tg) -> not (s == Obj.repr sys && a = app && tg = target))
-      !registry
+  Hashtbl.remove (Domain.DLS.get registry_key).boxes
+    (System.uid sys, app, target)
 
 let now psbox = Sim.now (System.sim psbox.sys)
 
@@ -291,7 +309,13 @@ let enter psbox =
       Tt.instant ~track:psbox_track
         ~lane:("app" ^ string_of_int psbox.p_app)
         ~name:"enter" (now psbox);
-    List.iter (fun b -> b.b_attach ()) psbox.bindings
+    (* every reader clips to [entered_at, now]: balloons that closed
+       before this stay can never be read again *)
+    List.iter
+      (fun b ->
+        b.b_closed <- [];
+        b.b_attach ())
+      psbox.bindings
   end
 
 let leave psbox =
@@ -330,16 +354,17 @@ let app psbox = psbox.p_app
 let targets psbox = List.map (fun b -> b.b_target) psbox.bindings
 
 (* Balloon intervals of one binding clipped to [from, until], oldest
-   first. *)
+   first: folding the newest-first closed list onto the open balloon
+   yields them in order. *)
 let clipped_intervals binding ~from ~until =
-  let all =
-    (match binding.b_open with Some t0 -> [ (t0, until) ] | None -> [])
-    @ binding.b_closed
+  let clip acc (t0, t1) =
+    let t0 = max t0 from and t1 = min t1 until in
+    if t1 > t0 then (t0, t1) :: acc else acc
   in
-  List.rev all
-  |> List.filter_map (fun (t0, t1) ->
-         let t0 = max t0 from and t1 = min t1 until in
-         if t1 > t0 then Some (t0, t1) else None)
+  let open_ =
+    match binding.b_open with Some t0 -> clip [] (t0, until) | None -> []
+  in
+  List.fold_left clip open_ binding.b_closed
 
 (* Energy of one binding over a window under the virtual meter's masking
    rules: rail power (clamped up to the suspend floor when the device is

@@ -20,7 +20,10 @@
 
     Power is only observable from inside the box ({!read_mj} / {!sample}
     raise {!Not_in_psbox} otherwise); entering and leaving are free-form and
-    cheap, supporting the intended "pay as you go" usage. *)
+    cheap, supporting the intended "pay as you go" usage. Every reader
+    covers the current (or last) stay only, so a box keeps the balloons of
+    that stay and nothing older: a read costs time proportional to the
+    stay's balloons, however long the machine has run. *)
 
 type target = Cpu | Gpu | Dsp | Wifi | Display | Gps
 (** [Display] and [Gps] are the §7 extension components: their power is
@@ -47,8 +50,8 @@ val create :
 
 val enter : t -> unit
 (** Enter the sandbox: the kernel begins enforcing resource balloons for the
-    app on every bound component, and the virtual power meter starts.
-    Idempotent. *)
+    app on every bound component, and the virtual power meter starts from
+    zero (the balloons of earlier stays are dropped). Idempotent. *)
 
 val leave : t -> unit
 (** Leave: balloons are released (temporal balloons close after their drain
@@ -94,4 +97,6 @@ val exclusive_intervals : t -> (Psbox_engine.Time.t * Psbox_engine.Time.t) list
     unsorted across components), since {!enter}. *)
 
 val destroy : t -> unit
-(** Leave if necessary and unregister the psbox. *)
+(** Leave if necessary and unregister the psbox, so the app may be given a
+    new box on the same targets. The registry holds its machine weakly: an
+    undestroyed box does not keep a dropped machine alive. *)

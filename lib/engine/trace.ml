@@ -1,64 +1,29 @@
-type 'a events = { mutable items : (Time.t * 'a) list; mutable n : int }
+type 'a t = {
+  reader : string;
+  arm_with : string;
+  mutable armed : bool;
+  mutable items : 'a list; (* newest first *)
+}
 
-let events () = { items = []; n = 0 }
+let create ~reader ~arm_with = { reader; arm_with; armed = false; items = [] }
+let arm log = log.armed <- true
+let armed log = log.armed
+let record log v = if log.armed then log.items <- v :: log.items
 
-let emit tr t v =
-  tr.items <- (t, v) :: tr.items;
-  tr.n <- tr.n + 1
+let newest_first log =
+  if not log.armed then
+    invalid_arg
+      (Printf.sprintf "%s: history was not recorded; call %s before the run"
+         log.reader log.arm_with);
+  log.items
 
-let to_list tr = List.rev tr.items
-let count tr = tr.n
+let to_list log = List.rev (newest_first log)
 
 type 'a span = { start : Time.t; stop : Time.t; tag : 'a }
 
-type 'a spans = {
-  mutable completed : 'a span list;
-  mutable live : (Time.t * 'a) list;
-}
-
-let spans () = { completed = []; live = [] }
-
-let open_span tr t tag =
-  if List.exists (fun (_, tag') -> tag' = tag) tr.live then
-    invalid_arg "Trace.open_span: tag already open";
-  tr.live <- (t, tag) :: tr.live
-
-let close_span ?pp tr t tag =
-  let rec take acc = function
-    | [] ->
-        let shown =
-          match pp with
-          | Some pp -> Format.asprintf "%a" pp tag
-          | None -> "<no printer given>"
-        in
-        invalid_arg
-          (Printf.sprintf
-             "Trace.close_span: no open span with tag %s (%d span(s) open)"
-             shown (List.length tr.live))
-    | (start, tag') :: rest when tag' = tag ->
-        tr.completed <- { start; stop = t; tag } :: tr.completed;
-        tr.live <- List.rev_append acc rest
-    | entry :: rest -> take (entry :: acc) rest
-  in
-  take [] tr.live
-
-let is_open tr tag = List.exists (fun (_, tag') -> tag' = tag) tr.live
-
-let open_since tr tag =
-  List.find_map (fun (t, tag') -> if tag' = tag then Some t else None) tr.live
-
-let close_all tr t =
-  List.iter
-    (fun (start, tag) -> tr.completed <- { start; stop = t; tag } :: tr.completed)
-    tr.live;
-  tr.live <- []
-
-let to_spans tr =
-  List.sort (fun a b -> compare (a.start, a.stop) (b.start, b.stop)) tr.completed
-
-let total_duration tr pred =
-  List.fold_left
-    (fun acc s -> if pred s.tag then acc + (s.stop - s.start) else acc)
-    0 tr.completed
+let to_spans log =
+  List.sort
+    (fun a b -> compare (a.start, a.stop) (b.start, b.stop))
+    (newest_first log)
 
 let overlaps a b = min a.stop b.stop > max a.start b.start

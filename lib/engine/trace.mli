@@ -1,55 +1,42 @@
-(** Trace recording.
+(** History logs.
 
-    Two recorders are provided: a point-event trace (timestamped values) and
-    an interval trace (labelled spans with a start and an end), used for
-    scheduling and command-dispatch timelines like the ones shown in Figure 7
-    of the paper. *)
+    A log is an append-only record of what a subsystem did (who ran when,
+    which commands completed, how long wakeups waited). It records nothing,
+    and allocates nothing, until it is {!arm}ed: a machine that nobody reads
+    the history of keeps no history. Reading a log that was never armed is a
+    programming error and raises, rather than returning an empty history
+    that looks like an idle machine. *)
 
-(** {1 Point events} *)
+type 'a t
 
-type 'a events
+val create : reader:string -> arm_with:string -> 'a t
+(** An unarmed log. [reader] names the accessor that exposes it and
+    [arm_with] the call that arms it; both appear in the error raised by
+    reading the log unarmed. *)
 
-val events : unit -> 'a events
-val emit : 'a events -> Time.t -> 'a -> unit
-val to_list : 'a events -> (Time.t * 'a) list
-(** Oldest first. *)
+val arm : 'a t -> unit
+(** Start recording. Entries recorded before arming are not kept. *)
 
-val count : 'a events -> int
+val armed : 'a t -> bool
+(** Whether {!record} keeps entries. Callers guard entry construction with
+    it, so an unarmed log costs no allocation. *)
+
+val record : 'a t -> 'a -> unit
+(** Append an entry; a no-op while the log is unarmed. *)
+
+val to_list : 'a t -> 'a list
+(** Entries, oldest first.
+    @raise Invalid_argument if the log was never armed, naming the reader
+    and the call that arms it. *)
 
 (** {1 Interval spans} *)
 
 type 'a span = { start : Time.t; stop : Time.t; tag : 'a }
 
-type 'a spans
-
-val spans : unit -> 'a spans
-
-val open_span : 'a spans -> Time.t -> 'a -> unit
-(** Begin a span with tag ['a]. Multiple spans with distinct tags may be open
-    simultaneously; opening a tag that is already open is an error. *)
-
-val close_span :
-  ?pp:(Format.formatter -> 'a -> unit) -> 'a spans -> Time.t -> 'a -> unit
-(** Close the open span carrying this tag.
-
-    @raise Invalid_argument if no span with this tag is open. The message
-    names the offending tag when a [?pp] printer is supplied (and says so
-    when one is not), plus how many spans are currently open — pass [?pp]
-    wherever a mismatched close would otherwise be hard to attribute. *)
-
-val is_open : 'a spans -> 'a -> bool
-
-val open_since : 'a spans -> 'a -> Time.t option
-(** Start time of the live span carrying this tag, if one is open. *)
-
-val close_all : 'a spans -> Time.t -> unit
-(** Close every still-open span at the given instant. *)
-
-val to_spans : 'a spans -> 'a span list
-(** Completed spans, ordered by start time. *)
-
-val total_duration : 'a spans -> ('a -> bool) -> Time.span
-(** Summed duration of completed spans whose tag satisfies the predicate. *)
+val to_spans : 'a span t -> 'a span list
+(** Recorded spans ordered by start time (ties by stop time, then most
+    recently recorded first).
+    @raise Invalid_argument if the log was never armed. *)
 
 val overlaps : 'a span -> 'a span -> bool
 (** Whether two spans intersect for a strictly positive duration. *)

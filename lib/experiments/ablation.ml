@@ -137,6 +137,7 @@ let overlap_at_window ~seed w =
       ~idle_w:0.08 ()
   in
   let d = Accel_driver.create sim dev ~window:w () in
+  Accel_driver.record_history d;
   let submit work =
     Accel_driver.submit d ~app:1
       (Accel.command ~app:1 ~kind:"k" ~work_s:work ~units:2 ())

@@ -63,6 +63,7 @@ let run_a ?(seed = 5) () =
    same type, but 2 overlaps 1 in time. *)
 let run_b ?(seed = 6) () =
   let sys = System.create ~seed ~cores:2 ~gpu:true () in
+  System.record_history sys;
   let app = System.new_app sys ~name:"gpu-app" in
   let script =
     W.repeat 1 (fun _ ->

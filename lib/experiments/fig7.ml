@@ -46,6 +46,7 @@ let schedule_strips ~cores ~symbols spans ~from ~until ~slots =
 
 let cpu_part ~seed ~with_psbox =
   let sys = System.create ~seed ~cores:2 () in
+  System.record_history sys;
   let calib = System.new_app sys ~name:"calib3d" in
   let body = System.new_app sys ~name:"body" in
   let others = System.new_app sys ~name:"others" in
@@ -119,6 +120,7 @@ let commands_overlap cmds ~main_app =
 
 let dsp_part ~seed ~with_psbox =
   let sys = System.create ~seed ~cores:2 ~dsp:true () in
+  System.record_history sys;
   let dgemm = System.new_app sys ~name:"dgemm" in
   let sgemm = System.new_app sys ~name:"sgemm" in
   let monte = System.new_app sys ~name:"monte" in

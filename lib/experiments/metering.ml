@@ -79,6 +79,7 @@ let share_error ~seed ~model =
     let main = System.new_app sys ~name:"calib" in
     ignore (Cpu_apps.calib3d sys ~iterations:100 ~threads:1 main);
     spawn_body "body" sys;
+    System.record_history sys;
     System.start sys;
     let cpu = System.cpu sys in
     let t0 = System.now sys in

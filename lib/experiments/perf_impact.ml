@@ -25,6 +25,7 @@ let mean_of = function [] -> 0.0 | l -> Psbox_engine.Stats.mean (Array.of_list l
 let scenario ~make_sys ~spawn_all ~target ~latencies_of ~total_of ~sandbox
     ~window ~seed =
   let sys = make_sys ~seed in
+  System.record_history sys;
   let apps = spawn_all sys in
   let star = List.hd apps in
   System.start sys;

@@ -38,12 +38,12 @@ type t = {
   mutable drain_started : Time.t;
   mutable drain_busy_mark : float;
   mutable serve_started : Time.t;
-  mutable intervals : (Time.t * Time.t) list; (* newest first *)
+  intervals : (Time.t * Time.t) Trace.t;
   mutable interval_open : Time.t option;
   mutable on_start : unit -> unit;
   mutable on_stop : unit -> unit;
-  mutable latencies : (int * float) list; (* newest first *)
-  mutable log : Accel.command list; (* completed, newest first *)
+  latencies : (int * float) Trace.t;
+  log : Accel.command Trace.t; (* completed commands *)
   mutable blocked_submitters : (unit -> unit) list;
       (* SGX-style [Lock_requests] stacks: submissions that arrived while a
          foreign balloon held the queue, to be accepted at flush-others *)
@@ -198,7 +198,7 @@ let dispatch d app =
   let q = queue_of d app in
   let p = Queue.pop q in
   let lat = Time.to_us_f (Sim.now d.sim - p.p_enqueued) in
-  d.latencies <- (app, lat) :: d.latencies;
+  if Trace.armed d.latencies then Trace.record d.latencies (app, lat);
   Tm.incr d.tm_dispatched;
   Tm.observe d.tm_lat lat;
   Hashtbl.replace d.callbacks p.p_cmd.Accel.id p;
@@ -297,7 +297,8 @@ and exit_serve d =
   | Some _ | None -> ());
   (match d.interval_open with
   | Some t0 ->
-      d.intervals <- (t0, Sim.now d.sim) :: d.intervals;
+      if Trace.armed d.intervals then
+        Trace.record d.intervals (t0, Sim.now d.sim);
       (if Tt.recording () then
          let name =
            match d.sandboxed with
@@ -325,7 +326,7 @@ let on_device_complete d cmd =
   (match Hashtbl.find_opt d.callbacks cmd.Accel.id with
   | Some p ->
       Hashtbl.remove d.callbacks cmd.Accel.id;
-      d.log <- cmd :: d.log;
+      Trace.record d.log cmd;
       Tm.incr d.tm_completed;
       (* guard keeps the lane-string allocation off the untraced path *)
       (if Tt.recording () then
@@ -357,6 +358,9 @@ let on_device_complete d cmd =
   check_drain d;
   pump d
 
+let arm_with =
+  "System.record_history (Accel_driver.record_history on a standalone driver)"
+
 let create sim dev ?(policy = Fair) ?(buffering = Per_process_queues)
     ?(window = 2) ?(confine_cost = true) () =
   if window <= 0 then invalid_arg "Accel_driver.create: window must be positive";
@@ -380,12 +384,13 @@ let create sim dev ?(policy = Fair) ?(buffering = Per_process_queues)
       drain_started = Time.zero;
       drain_busy_mark = 0.0;
       serve_started = Time.zero;
-      intervals = [];
+      intervals = Trace.create ~reader:"Accel_driver.balloon_intervals" ~arm_with;
       interval_open = None;
       on_start = (fun () -> ());
       on_stop = (fun () -> ());
-      latencies = [];
-      log = [];
+      latencies =
+        Trace.create ~reader:"Accel_driver.dispatch_latencies_us" ~arm_with;
+      log = Trace.create ~reader:"Accel_driver.completed_commands" ~arm_with;
       blocked_submitters = [];
       share_bus = Bus.create ();
       gates = Hashtbl.create 4;
@@ -509,7 +514,12 @@ let set_balloon_listener d ~on_start ~on_stop =
   d.on_start <- on_start;
   d.on_stop <- on_stop
 
-let balloon_intervals d = List.rev d.intervals
+let balloon_intervals d = Trace.to_list d.intervals
 let balloon_open d = d.interval_open <> None
-let dispatch_latencies_us d = List.rev d.latencies
-let completed_commands d = List.rev d.log
+let dispatch_latencies_us d = Trace.to_list d.latencies
+let completed_commands d = Trace.to_list d.log
+
+let record_history d =
+  Trace.arm d.intervals;
+  Trace.arm d.latencies;
+  Trace.arm d.log

@@ -121,12 +121,21 @@ val sandboxed : t -> int option
 
 val set_balloon_listener : t -> on_start:(unit -> unit) -> on_stop:(unit -> unit) -> unit
 
-val balloon_intervals : t -> (Psbox_engine.Time.t * Psbox_engine.Time.t) list
-(** Completed exclusive intervals, oldest first. *)
-
 val balloon_open : t -> bool
 
-(** {1 Diagnostics} *)
+(** {1 History}
+
+    The driver keeps no history unless asked: {!record_history} (which
+    {!System.record_history} calls for the machine's GPU and DSP) arms the
+    logs below. Each reader raises [Invalid_argument], naming the call to
+    make, if its log was never armed. *)
+
+val record_history : t -> unit
+(** Start recording balloon intervals, dispatch latencies and completed
+    commands. Call before the first submission. *)
+
+val balloon_intervals : t -> (Psbox_engine.Time.t * Psbox_engine.Time.t) list
+(** Completed exclusive intervals, oldest first. *)
 
 val dispatch_latencies_us : t -> (int * float) list
 (** (app, submit-to-device-dispatch latency in microseconds) per command,

@@ -33,14 +33,14 @@ type t = {
   mutable phase : phase;
   mutable serve_started : Time.t;
   mutable serve_air_mark : float; (* NIC airtime at serve start *)
-  mutable intervals : (Time.t * Time.t) list;
+  intervals : (Time.t * Time.t) Trace.t;
   mutable interval_open : Time.t option;
   mutable on_start : unit -> unit;
   mutable on_stop : unit -> unit;
   mutable lost_charged : int;
   mutable rx_held : pending list; (* deferred foreign RX, oldest last *)
-  mutable latencies : (int * float) list;
-  mutable pkt_log : Wifi.pkt list; (* completed frames, newest first *)
+  latencies : (int * float) Trace.t;
+  pkt_log : Wifi.pkt Trace.t; (* completed frames *)
   share_bus : share_change Bus.t;
   gates : (int, gate) Hashtbl.t;
   mutable gate_pump : Sim.handle; (* armed wakeup, Sim.none when idle *)
@@ -152,7 +152,7 @@ let dispatch d app =
   let q = queue_of d app in
   let p = Queue.pop q in
   let lat = Time.to_us_f (Sim.now d.sim - p.p_enqueued) in
-  d.latencies <- (app, lat) :: d.latencies;
+  if Trace.armed d.latencies then Trace.record d.latencies (app, lat);
   Tm.observe d.tm_lat lat;
   Hashtbl.replace d.callbacks p.p_pkt.Wifi.id p;
   charge_gate d app p.p_pkt;
@@ -258,7 +258,7 @@ and exit_serve d =
   | None -> ());
   (match d.interval_open with
   | Some t0 ->
-      d.intervals <- (t0, now) :: d.intervals;
+      if Trace.armed d.intervals then Trace.record d.intervals (t0, now);
       (if Tt.recording () then
          let name =
            match d.sandboxed with
@@ -285,7 +285,7 @@ and exit_serve d =
   pump d
 
 let on_nic_sent d pkt =
-  d.pkt_log <- pkt :: d.pkt_log;
+  Trace.record d.pkt_log pkt;
   (if pkt.Wifi.dir = `Tx then begin
      Tm.incr d.tm_tx;
      Tm.add d.tm_tx_bytes (float_of_int pkt.Wifi.bytes)
@@ -316,6 +316,9 @@ let on_nic_sent d pkt =
   check_drain d;
   pump d
 
+let arm_with =
+  "System.record_history (Net_sched.record_history on a standalone scheduler)"
+
 let create sim nic ?(window = 1) () =
   let d =
     {
@@ -332,14 +335,15 @@ let create sim nic ?(window = 1) () =
       phase = Normal;
       serve_started = Time.zero;
       serve_air_mark = 0.0;
-      intervals = [];
+      intervals = Trace.create ~reader:"Net_sched.balloon_intervals" ~arm_with;
       interval_open = None;
       on_start = (fun () -> ());
       on_stop = (fun () -> ());
       lost_charged = 0;
       rx_held = [];
-      latencies = [];
-      pkt_log = [];
+      latencies =
+        Trace.create ~reader:"Net_sched.dispatch_latencies_us" ~arm_with;
+      pkt_log = Trace.create ~reader:"Net_sched.packet_log" ~arm_with;
       share_bus = Bus.create ();
       gates = Hashtbl.create 4;
       gate_pump = Sim.none;
@@ -462,8 +466,13 @@ let set_balloon_listener d ~on_start ~on_stop =
   d.on_start <- on_start;
   d.on_stop <- on_stop
 
-let balloon_intervals d = List.rev d.intervals
+let balloon_intervals d = Trace.to_list d.intervals
 let balloon_open d = d.interval_open <> None
 let lost_bytes_charged d = d.lost_charged
-let dispatch_latencies_us d = List.rev d.latencies
-let packet_log d = List.rev d.pkt_log
+let dispatch_latencies_us d = Trace.to_list d.latencies
+let packet_log d = Trace.to_list d.pkt_log
+
+let record_history d =
+  Trace.arm d.intervals;
+  Trace.arm d.latencies;
+  Trace.arm d.pkt_log

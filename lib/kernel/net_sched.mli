@@ -81,13 +81,24 @@ val sandbox : t -> app:int -> unit
 val unsandbox : t -> unit
 val sandboxed : t -> int option
 val set_balloon_listener : t -> on_start:(unit -> unit) -> on_stop:(unit -> unit) -> unit
-val balloon_intervals : t -> (Psbox_engine.Time.t * Psbox_engine.Time.t) list
 val balloon_open : t -> bool
 
 val lost_bytes_charged : t -> int
 (** Total foreign bytes charged to sandboxed apps as lost opportunities. *)
 
-(** {1 Diagnostics} *)
+(** {1 History}
+
+    The scheduler keeps no history unless asked: {!record_history} (which
+    {!System.record_history} calls for the machine's NIC) arms the logs
+    below. Each reader raises [Invalid_argument], naming the call to make,
+    if its log was never armed. *)
+
+val record_history : t -> unit
+(** Start recording balloon intervals, dispatch latencies and completed
+    frames. Call before the first packet is queued. *)
+
+val balloon_intervals : t -> (Psbox_engine.Time.t * Psbox_engine.Time.t) list
+(** Completed exclusive intervals, oldest first. *)
 
 val dispatch_latencies_us : t -> (int * float) list
 (** (app, enqueue-to-NIC latency in microseconds) per packet, oldest

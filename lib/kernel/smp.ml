@@ -11,9 +11,6 @@ let app_label = function
   | -2 -> "forced-idle"
   | a -> "app" ^ string_of_int a
 
-let pp_span_tag fmt (core, app) =
-  Format.fprintf fmt "(core %d, %s)" core (app_label app)
-
 type config = {
   tick : Time.span;
   wakeup_granularity : float;
@@ -63,7 +60,7 @@ type balloon = {
   mutable b_started : Time.t;
   mutable b_joined : int;
   mutable b_metering : bool;
-  mutable b_intervals : (Time.t * Time.t) list; (* newest first *)
+  b_intervals : (Time.t * Time.t) Trace.t;
   mutable b_on_start : unit -> unit;
   mutable b_on_stop : unit -> unit;
   mutable b_total_loan : float;
@@ -90,12 +87,13 @@ type t = {
          min(max_period expiry, earliest loan-cap crossing, the instant the
          balloon loses the credit race on its last winning core) *)
   span_tag : int option array; (* app code of the open trace span per core *)
+  span_start : Time.t array; (* when each core's open span began *)
   task_entities : (int, Entity.t) Hashtbl.t; (* tid -> entity when unsandboxed *)
   apps : (int, Task.t list ref) Hashtbl.t;
   mutable balloons : balloon list;
   mutable live : balloon option;
-  trace : (int * int) Trace.spans;
-  mutable latencies : (int * float) list; (* (app, wake-to-run us), newest first *)
+  trace : (int * int) Trace.span Trace.t;
+  latencies : (int * float) Trace.t; (* (app, wake-to-run us) *)
   mutable stopped : bool;
   share_bus : share_change Bus.t;
   share_counts : (int, int) Hashtbl.t; (* app -> cores currently running it *)
@@ -122,6 +120,8 @@ type t = {
   tm_ev_refill : Tm.counter;
 }
 
+let arm_with = "System.record_history"
+
 let create sim cpu ?(config = default_config) () =
   let n = Psbox_hw.Cpu.cores cpu in
   {
@@ -135,12 +135,13 @@ let create sim cpu ?(config = default_config) () =
     plan_events = Array.make n Sim.none;
     balloon_event = Sim.none;
     span_tag = Array.make n None;
+    span_start = Array.make n Time.zero;
     task_entities = Hashtbl.create 64;
     apps = Hashtbl.create 16;
     balloons = [];
     live = None;
-    trace = Trace.spans ();
-    latencies = [];
+    trace = Trace.create ~reader:"Smp.sched_trace" ~arm_with;
+    latencies = Trace.create ~reader:"Smp wakeup latencies" ~arm_with;
     stopped = false;
     share_bus = Bus.create ();
     share_counts = Hashtbl.create 16;
@@ -171,10 +172,12 @@ let app_tasks smp ~app =
   match Hashtbl.find_opt smp.apps app with Some l -> !l | None -> []
 
 let sched_trace smp = smp.trace
-let wakeup_latencies_us smp = Array.of_list (List.rev_map snd smp.latencies)
+
+let wakeup_latencies_us smp =
+  Array.of_list (List.map snd (Trace.to_list smp.latencies))
 
 let wakeup_latencies_of smp ~app =
-  List.rev smp.latencies
+  Trace.to_list smp.latencies
   |> List.filter_map (fun (a, l) -> if a = app then Some l else None)
   |> Array.of_list
 
@@ -228,18 +231,18 @@ let set_span smp core tag =
   | old, _ ->
       (match old with
       | Some a ->
-          (if Tt.recording () then
-             match Trace.open_since smp.trace (core, a) with
-             | Some t0 ->
-                 Tt.span ~track:cfs_track ~lane:smp.tm_lanes.(core)
-                   ~name:(app_label a) ~start:t0 ~stop:now ()
-             | None -> ());
-          Trace.close_span ~pp:pp_span_tag smp.trace now (core, a);
+          let t0 = smp.span_start.(core) in
+          if Tt.recording () then
+            Tt.span ~track:cfs_track ~lane:smp.tm_lanes.(core)
+              ~name:(app_label a) ~start:t0 ~stop:now ();
+          if Trace.armed smp.trace then
+            Trace.record smp.trace
+              { Trace.start = t0; stop = now; tag = (core, a) };
           note_share smp a (-1)
       | None -> ());
       (match tag with
       | Some b ->
-          Trace.open_span smp.trace now (core, b);
+          smp.span_start.(core) <- now;
           note_share smp b 1
       | None -> ());
       Tm.incr smp.tm_switch;
@@ -387,7 +390,8 @@ and wake_impl : (t -> Task.t -> unit) ref = ref (fun _ _ -> assert false)
 let record_latency smp t =
   if t.Task.last_wake >= 0 then begin
     let lat = Time.to_us_f (Sim.now smp.sim - t.Task.last_wake) in
-    smp.latencies <- (t.Task.app, lat) :: smp.latencies;
+    if Trace.armed smp.latencies then
+      Trace.record smp.latencies (t.Task.app, lat);
     Tm.observe smp.tm_wake_lat lat;
     t.Task.last_wake <- -1
   end
@@ -635,7 +639,8 @@ and cosched_out smp ?(local = 0) b =
   smp.live <- None;
   if b.b_metering then begin
     b.b_metering <- false;
-    b.b_intervals <- (b.b_started, Sim.now smp.sim) :: b.b_intervals;
+    if Trace.armed b.b_intervals then
+      Trace.record b.b_intervals (b.b_started, Sim.now smp.sim);
     if Tt.recording () then
       Tt.span ~track:cfs_track ~lane:"balloon" ~name:(app_label b.b_app)
         ~start:b.b_started ~stop:(Sim.now smp.sim) ();
@@ -978,6 +983,7 @@ let start smp =
   done
 
 let stop smp =
+  let was_stopped = smp.stopped in
   smp.stopped <- true;
   Array.iter (fun h -> Sim.cancel smp.sim h) smp.plan_events;
   Array.iter (fun h -> Sim.cancel smp.sim h) smp.work_events;
@@ -990,7 +996,18 @@ let stop smp =
   Sim.cancel smp.sim smp.quota_next;
   smp.quota_next <- Sim.none;
   (match smp.live with Some b -> cosched_out smp b | None -> ());
-  Trace.close_all smp.trace (Sim.now smp.sim)
+  (* close every core's open span in the history *)
+  if Trace.armed smp.trace && not was_stopped then begin
+    let now = Sim.now smp.sim in
+    Array.iteri
+      (fun core tag ->
+        match tag with
+        | Some a ->
+            Trace.record smp.trace
+              { Trace.start = smp.span_start.(core); stop = now; tag = (core, a) }
+        | None -> ())
+      smp.span_tag
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Wakeups and spawning                                                 *)
@@ -1285,7 +1302,10 @@ let sandbox smp ~app =
       b_started = Time.zero;
       b_joined = 0;
       b_metering = false;
-      b_intervals = [];
+      b_intervals =
+        (let log = Trace.create ~reader:"Smp.balloon_intervals" ~arm_with in
+         if Trace.armed smp.trace then Trace.arm log;
+         log);
       b_on_start = (fun () -> ());
       b_on_stop = (fun () -> ());
       b_total_loan = 0.0;
@@ -1392,6 +1412,13 @@ let set_balloon_listener b ~on_start ~on_stop =
   b.b_on_start <- on_start;
   b.b_on_stop <- on_stop
 
-let balloon_intervals b = List.rev b.b_intervals
+let balloon_intervals b = Trace.to_list b.b_intervals
+
+(* Balloons created later are armed at [sandbox], keyed off [smp.trace]. *)
+let record_history smp =
+  Trace.arm smp.trace;
+  Trace.arm smp.latencies;
+  List.iter (fun b -> Trace.arm b.b_intervals) smp.balloons
+
 let balloon_live b = b.b_live
 let total_loan_issued b = b.b_total_loan

@@ -112,7 +112,9 @@ val set_balloon_listener : balloon -> on_start:(unit -> unit) -> on_stop:(unit -
     completes / at schedule-out), used by the psbox virtual meter. *)
 
 val balloon_intervals : balloon -> (Psbox_engine.Time.t * Psbox_engine.Time.t) list
-(** Completed coscheduling periods, oldest first. *)
+(** Completed coscheduling periods, oldest first.
+    @raise Invalid_argument unless {!record_history} was called before the
+    balloon's periods ran. *)
 
 val balloon_live : balloon -> bool
 
@@ -120,17 +122,28 @@ val total_loan_issued : balloon -> float
 (** Cumulative vruntime loaned over all completed periods (diagnostics and
     invariant tests). *)
 
-(** {1 Introspection} *)
+(** {1 History}
 
-val sched_trace : t -> (int * int) Psbox_engine.Trace.spans
+    The scheduler keeps no history unless asked: {!record_history} (which
+    {!System.record_history} calls) arms the logs below. Reading a log that
+    was never armed raises [Invalid_argument] naming the call to make. *)
+
+val record_history : t -> unit
+(** Start recording scheduling spans, wake latencies and the coscheduling
+    periods of every balloon, present and future. Call before {!start}. *)
+
+val sched_trace : t -> (int * int) Psbox_engine.Trace.span Psbox_engine.Trace.t
 (** Spans tagged [(core, app)]; [app = -1] is true idle, [-2] is
-    balloon-forced idle. *)
+    balloon-forced idle. Spans still open are closed by {!stop}. *)
 
 val wakeup_latencies_us : t -> float array
-(** Wake-to-run latencies observed so far, in microseconds. *)
+(** Wake-to-run latencies observed so far, in microseconds.
+    @raise Invalid_argument unless {!record_history} was called. *)
 
 val wakeup_latencies_of : t -> app:int -> float array
 (** Same, restricted to one app's tasks. *)
+
+(** {1 Introspection} *)
 
 val running_app : t -> core:int -> int option
 (** App of the task actually executing on a core right now (idle = None). *)

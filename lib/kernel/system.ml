@@ -284,6 +284,12 @@ let bump app key v =
 let counter app key =
   match Hashtbl.find_opt app.counters key with Some x -> x | None -> 0.0
 
+let record_history sys =
+  Smp.record_history sys.smp;
+  Option.iter Accel_driver.record_history sys.gpu;
+  Option.iter Accel_driver.record_history sys.dsp;
+  Option.iter Net_sched.record_history sys.net
+
 let start sys =
   if not sys.started then begin
     sys.started <- true;

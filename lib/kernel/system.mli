@@ -33,12 +33,15 @@ val create :
     [confine_cost] (default true) is the paper's lost-sharing billing; it
     exists as a switch only for the ablation bench.
 
-    [rail_retention] bounds every rail's power-transition history (default
-    [Some 120 s]): long-running experiments stop accumulating unbounded
-    timeline memory, while anything shorter than the retention window —
-    including every experiment shipped in this repo — sees byte-identical
-    behaviour because compaction only triggers beyond it. Pass [None] to
-    keep full history (e.g. when a test inspects old transitions). *)
+    [rail_retention] bounds every rail's power-transition timeline
+    (default [Some 120 s]): long-running machines stop accumulating
+    unbounded timeline memory, while anything shorter than the retention
+    window — including every experiment shipped in this repo — sees
+    byte-identical behaviour because compaction only triggers beyond it.
+    Pass [None] to keep the full timeline (e.g. when a test inspects old
+    transitions). The rail timelines are the only history a machine keeps
+    by default; the kernel's logs of who ran when are off until
+    {!record_history} arms them. *)
 
 val am57 : ?seed:int -> unit -> t
 (** Dual Cortex-A15-like CPU + SGX544-like GPU + C66x-like DSP. *)
@@ -138,6 +141,20 @@ val bump : app -> string -> float -> unit
 (** Add to a named counter (e.g. frames, bytes, commands). *)
 
 val counter : app -> string -> float
+
+(** {1 History}
+
+    A machine keeps no history of who ran when unless a reader asks for it:
+    its memory then stays flat over any simulated horizon. *)
+
+val record_history : t -> unit
+(** Arm every history log of the machine: the scheduler's spans, wake
+    latencies and balloon periods ({!Smp.record_history}), and the
+    balloon intervals, dispatch latencies and completed commands or frames
+    of each accelerator and NIC driver ({!Accel_driver.record_history},
+    {!Net_sched.record_history}). Call before {!start}; reading any of
+    those logs on a machine that never called it raises
+    [Invalid_argument]. *)
 
 (** {1 Running} *)
 

@@ -14,6 +14,7 @@ let mk ?(units = 2) ?(window = 2) ?policy () =
       ~idle_w:0.1 ()
   in
   let d = Accel_driver.create sim dev ?policy ~window () in
+  Accel_driver.record_history d;
   (sim, dev, d)
 
 let submit d ~app ~work_s =

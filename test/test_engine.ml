@@ -287,38 +287,39 @@ let prop_stats_mean_bounds =
 (* ---- Trace --------------------------------------------------------- *)
 
 let test_trace_events () =
-  let tr = Trace.events () in
-  Trace.emit tr 10 "a";
-  Trace.emit tr 20 "b";
-  Alcotest.(check int) "count" 2 (Trace.count tr);
-  Alcotest.(check (list (pair int string))) "order" [ (10, "a"); (20, "b") ]
-    (Trace.to_list tr)
+  let log = Trace.create ~reader:"test log" ~arm_with:"Trace.arm" in
+  Trace.record log (5, "dropped");
+  Trace.arm log;
+  Trace.record log (10, "a");
+  Trace.record log (20, "b");
+  Alcotest.(check (list (pair int string))) "order, nothing kept unarmed"
+    [ (10, "a"); (20, "b") ]
+    (Trace.to_list log)
 
 let test_trace_spans () =
-  let tr = Trace.spans () in
-  Trace.open_span tr 0 "x";
-  Trace.open_span tr 5 "y";
-  Trace.close_span tr 10 "x";
-  Trace.close_span tr 20 "y";
-  let spans = Trace.to_spans tr in
-  Alcotest.(check int) "two spans" 2 (List.length spans);
-  check_int "x duration" 10 (Trace.total_duration tr (fun t -> t = "x"));
-  check_int "y duration" 15 (Trace.total_duration tr (fun t -> t = "y"))
+  let log = Trace.create ~reader:"test log" ~arm_with:"Trace.arm" in
+  Trace.arm log;
+  Trace.record log { Trace.start = 5; stop = 20; tag = "y" };
+  Trace.record log { Trace.start = 0; stop = 10; tag = "x" };
+  let spans = Trace.to_spans log in
+  Alcotest.(check (list string)) "by start" [ "x"; "y" ]
+    (List.map (fun s -> s.Trace.tag) spans);
+  let duration tag =
+    List.fold_left
+      (fun acc s -> if s.Trace.tag = tag then acc + (s.stop - s.start) else acc)
+      0 spans
+  in
+  check_int "x duration" 10 (duration "x");
+  check_int "y duration" 15 (duration "y")
 
-let test_trace_double_open () =
-  let tr = Trace.spans () in
-  Trace.open_span tr 0 "x";
-  Alcotest.check_raises "double open"
-    (Invalid_argument "Trace.open_span: tag already open") (fun () ->
-      Trace.open_span tr 5 "x")
-
-let test_trace_close_all () =
-  let tr = Trace.spans () in
-  Trace.open_span tr 0 1;
-  Trace.open_span tr 2 2;
-  Trace.close_all tr 10;
-  Alcotest.(check int) "both closed" 2 (List.length (Trace.to_spans tr));
-  Alcotest.(check bool) "none open" false (Trace.is_open tr 1)
+let test_trace_unarmed () =
+  let log = Trace.create ~reader:"Demo.history" ~arm_with:"Demo.arm" in
+  Trace.record log 1;
+  check_bool "not armed" false (Trace.armed log);
+  Alcotest.check_raises "names the reader and the arming call"
+    (Invalid_argument
+       "Demo.history: history was not recorded; call Demo.arm before the run")
+    (fun () -> ignore (Trace.to_list log))
 
 let test_trace_overlaps () =
   let s1 = { Trace.start = 0; stop = 10; tag = () } in
@@ -824,8 +825,7 @@ let suite =
     ("stats solve rejects singular", `Quick, test_stats_solve_singular);
     ("trace events", `Quick, test_trace_events);
     ("trace spans", `Quick, test_trace_spans);
-    ("trace double open", `Quick, test_trace_double_open);
-    ("trace close_all", `Quick, test_trace_close_all);
+    ("trace unarmed log raises", `Quick, test_trace_unarmed);
     ("trace overlaps", `Quick, test_trace_overlaps);
     ("bus order and unsubscribe", `Quick, test_bus_order_and_unsubscribe);
     ("bus unsubscribe mid-publish", `Quick, test_bus_unsubscribe_mid_publish);

@@ -10,6 +10,7 @@ let mk ?virtual_macs () =
   let sim = Sim.create () in
   let nic = Wifi.create sim ?virtual_macs () in
   let d = Net_sched.create sim nic () in
+  Net_sched.record_history d;
   (sim, nic, d)
 
 (* A saturating sender: resubmits a packet as soon as the last one went

@@ -5,6 +5,7 @@ module System = Psbox_kernel.System
 module Psbox = Psbox_core.Psbox
 module W = Psbox_workloads.Workload
 module Sample = Psbox_meter.Sample
+module Accel_driver = Psbox_kernel.Accel_driver
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -200,6 +201,128 @@ let test_exclusive_intervals_accounting () =
   Psbox.leave box;
   System.shutdown sys
 
+(* After many stays, every reader reports the last stay alone: the
+   reference re-derives it from the driver's full balloon history (every
+   stay since boot) clipped to the stay, as the meter did before it
+   dropped old balloons at [enter]. The reads are taken while a balloon is
+   open; the reference gets that balloon from the driver once it closes. *)
+let test_multi_stay_reads_last_stay () =
+  let sys = System.create ~seed:5 ~cores:2 ~gpu:true () in
+  System.record_history sys;
+  let gpu_app period =
+    W.forever (fun () ->
+        [
+          W.Gpu_batch [ W.spec ~kind:"k" ~work_s:0.004 ~units:2 () ];
+          W.Sleep period;
+        ])
+  in
+  let a = System.new_app sys ~name:"a" in
+  ignore (W.spawn sys ~app:a ~name:"a" (gpu_app (Time.ms 3)));
+  let b = System.new_app sys ~name:"b" in
+  ignore (W.spawn sys ~app:b ~name:"b" (gpu_app (Time.ms 1)));
+  System.start sys;
+  let box = Psbox.create sys ~app:a.System.app_id ~hw:[ Psbox.Gpu ] in
+  for _ = 1 to 4 do
+    Psbox.enter box;
+    System.run_for sys (Time.ms 150);
+    Psbox.leave box;
+    System.run_for sys (Time.ms 50)
+  done;
+  Psbox.enter box;
+  let from = System.now sys in
+  let driver = System.gpu sys in
+  System.run_for sys (Time.ms 150);
+  let steps = ref 0 in
+  while (not (Accel_driver.balloon_open driver)) && !steps < 100 do
+    System.run_for sys (Time.ms 1);
+    incr steps
+  done;
+  (* into the balloon, so it has a length to clip *)
+  System.run_for sys (Time.ms 1);
+  check_bool "a balloon is open at the reads" true (Accel_driver.balloon_open driver);
+  let until = System.now sys in
+  let intervals = Psbox.exclusive_intervals box in
+  let mj = Psbox.read_mj box in
+  let samples = Psbox.sample ~period:(Time.us 100) box in
+  Psbox.leave box;
+  System.run_for sys (Time.ms 100);
+  let history = Accel_driver.balloon_intervals driver in
+  let expected =
+    List.filter_map
+      (fun (t0, t1) ->
+        let t0 = max t0 from and t1 = min t1 until in
+        if t1 > t0 then Some (t0, t1) else None)
+      history
+  in
+  check_bool "earlier stays left balloons in the history" true
+    (List.exists (fun (_, t1) -> t1 <= from) history);
+  check_bool "the last stay has balloons" true (expected <> []);
+  Alcotest.(check (list (pair int int))) "exclusive_intervals" expected intervals;
+  let rail = Psbox_hw.Accel.rail (Accel_driver.device driver) in
+  let floor_w = Psbox_hw.Power_rail.idle_w rail in
+  let tl = Psbox_hw.Power_rail.timeline rail in
+  let in_balloon t = List.exists (fun (t0, t1) -> t >= t0 && t <= t1) expected in
+  let balloon_s =
+    List.fold_left (fun acc (t0, t1) -> acc +. Time.to_sec_f (t1 - t0)) 0.0 expected
+  in
+  let balloon_j =
+    List.fold_left
+      (fun acc (t0, t1) ->
+        Timeline.fold_intervals tl ~from:t0 ~until:t1 ~init:acc
+          ~f:(fun acc s e v -> acc +. (Float.max v floor_w *. Time.to_sec_f (e - s))))
+      0.0 expected
+  in
+  let expected_mj =
+    (balloon_j +. (floor_w *. (Time.to_sec_f (until - from) -. balloon_s))) *. 1e3
+  in
+  check_bool
+    (Printf.sprintf "read_mj %.9f = %.9f" mj expected_mj)
+    true
+    (Float.abs (mj -. expected_mj) <= 1e-9 *. expected_mj);
+  check_int "sample count" ((until - from) / Time.us 100 + 1) (Array.length samples);
+  Array.iter
+    (fun s ->
+      let t = s.Sample.time in
+      let w =
+        if in_balloon t then Float.max (Timeline.value_at tl t) floor_w else floor_w
+      in
+      if s.Sample.watts <> w then
+        Alcotest.failf "sample at %d: %.6f W, expected %.6f W" t s.Sample.watts w)
+    samples;
+  System.shutdown sys
+
+(* The one-box-per-(machine, app, target) registry holds machines weakly
+   and per domain. Run in a fresh domain so no other test's observers
+   (an audit report registry, say) can keep the machine alive. *)
+let test_registry_does_not_retain_machine () =
+  let collected =
+    Domain.join
+      (Domain.spawn (fun () ->
+           let w = Weak.create 1 in
+           let build () =
+             let sys = System.create ~cores:1 () in
+             let a = System.new_app sys ~name:"a" in
+             ignore (Psbox.create sys ~app:a.System.app_id ~hw:[ Psbox.Cpu ]);
+             Weak.set w 0 (Some sys)
+           in
+           build ();
+           Gc.full_major ();
+           not (Weak.check w 0)))
+  in
+  check_bool "undestroyed box's machine collected" true collected;
+  (* machine uids restart in every domain: two domains each boxing app 1
+     of their first machine must not see each other's boxes *)
+  let box_in_fresh_domain () =
+    Domain.spawn (fun () ->
+        let sys = System.create ~cores:1 () in
+        let a = System.new_app sys ~name:"a" in
+        let box = Psbox.create sys ~app:a.System.app_id ~hw:[ Psbox.Cpu ] in
+        (System.uid sys, Psbox.app box))
+  in
+  let d1 = box_in_fresh_domain () and d2 = box_in_fresh_domain () in
+  let r1 = Domain.join d1 and r2 = Domain.join d2 in
+  Alcotest.(check (pair int int)) "same uid and app in both domains" r1 r2
+
 let suite =
   [
     ("api lifecycle", `Quick, test_api_lifecycle);
@@ -210,4 +333,7 @@ let suite =
     ("multiple hardware targets", `Quick, test_multi_target);
     ("no lingering state across entries", `Quick, test_no_lingering_state_across_entries);
     ("exclusive interval accounting", `Quick, test_exclusive_intervals_accounting);
+    ("multi-stay reads cover the last stay", `Quick, test_multi_stay_reads_last_stay);
+    ("registry holds machines weakly, per domain", `Quick,
+      test_registry_does_not_retain_machine);
   ]

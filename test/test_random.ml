@@ -47,6 +47,7 @@ let prop_cpu_invariants =
     ~count:40 (arbitrary_scenario ~gpu:false)
     (fun (ops_a, ops_b, enter_ms, leave_ms) ->
       let sys = System.create ~cores:2 () in
+      System.record_history sys;
       let a = System.new_app sys ~name:"a" in
       let b = System.new_app sys ~name:"b" in
       ignore (W.spawn sys ~app:a ~name:"a0" ~core:0 (to_script ops_a));
@@ -85,6 +86,7 @@ let prop_gpu_invariants =
     ~count:30 (arbitrary_scenario ~gpu:true)
     (fun (ops_a, ops_b, enter_ms, leave_ms) ->
       let sys = System.create ~cores:2 ~gpu:true () in
+      System.record_history sys;
       let a = System.new_app sys ~name:"a" in
       let b = System.new_app sys ~name:"b" in
       ignore (W.spawn sys ~app:a ~name:"a0" ~core:0 (to_script ops_a));

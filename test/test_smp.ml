@@ -55,6 +55,7 @@ let test_weighted_fairness () =
 (* A sleeper that wakes regularly preempts a spinning hog quickly. *)
 let test_wakeup_preemption () =
   let sys = System.create ~cores:1 () in
+  System.record_history sys;
   let hog = System.new_app sys ~name:"hog" in
   ignore (spin sys hog ~core:0);
   let ticker = System.new_app sys ~name:"ticker" in
@@ -100,6 +101,7 @@ let test_task_exit_reaps () =
    no foreign task runs on any core. Verified via the schedule trace. *)
 let test_balloon_exclusivity () =
   let sys = System.create ~cores:2 () in
+  System.record_history sys;
   let star = System.new_app sys ~name:"star" in
   let other = System.new_app sys ~name:"other" in
   ignore (spin sys star ~core:0);
@@ -186,6 +188,7 @@ let test_loans_issued_under_contention () =
    machine is not held idle. *)
 let test_balloon_closes_on_idle_app () =
   let sys = System.create ~cores:2 () in
+  System.record_history sys;
   let star = System.new_app sys ~name:"star" in
   let other = System.new_app sys ~name:"other" in
   ignore
@@ -253,6 +256,7 @@ let test_double_sandbox_rejected () =
 (* Two psboxes on the CPU: balloons are mutually exclusive in time. *)
 let test_two_balloons_mutually_exclusive () =
   let sys = System.create ~cores:2 () in
+  System.record_history sys;
   let a = System.new_app sys ~name:"a" in
   let b = System.new_app sys ~name:"b" in
   ignore (spin sys a ~core:0);

@@ -125,6 +125,80 @@ let test_system_every () =
   System.run_for sys (Time.ms 500);
   check_int "stopped" 5 !fires
 
+(* Every kernel log stays empty and unreadable until the machine asks
+   for history: a read names the call that arms it instead of returning
+   an empty, idle-looking history. *)
+let test_unarmed_history_raises () =
+  let module Smp = Psbox_kernel.Smp in
+  let module Accel_driver = Psbox_kernel.Accel_driver in
+  let module Net_sched = Psbox_kernel.Net_sched in
+  let sys = System.phone () in
+  let a = System.new_app sys ~name:"a" in
+  ignore
+    (W.spawn sys ~app:a ~name:"t" ~core:0
+       (W.forever (fun () -> [ W.Compute (Time.ms 2); W.Sleep (Time.ms 1) ])));
+  let balloon = Smp.sandbox (System.smp sys) ~app:a.System.app_id in
+  System.start sys;
+  System.run_for sys (Time.ms 50);
+  let smp = System.smp sys and gpu = System.gpu sys and net = System.net sys in
+  let readers =
+    [
+      ("Smp.sched_trace", fun () -> ignore (Trace.to_spans (Smp.sched_trace smp)));
+      ("Smp.wakeup_latencies_us", fun () -> ignore (Smp.wakeup_latencies_us smp));
+      ("Smp.wakeup_latencies_of",
+        fun () -> ignore (Smp.wakeup_latencies_of smp ~app:a.System.app_id));
+      ("Smp.balloon_intervals", fun () -> ignore (Smp.balloon_intervals balloon));
+      ("Accel_driver.balloon_intervals",
+        fun () -> ignore (Accel_driver.balloon_intervals gpu));
+      ("Accel_driver.dispatch_latencies_us",
+        fun () -> ignore (Accel_driver.dispatch_latencies_us gpu));
+      ("Accel_driver.completed_commands",
+        fun () -> ignore (Accel_driver.completed_commands gpu));
+      ("Net_sched.balloon_intervals", fun () -> ignore (Net_sched.balloon_intervals net));
+      ("Net_sched.dispatch_latencies_us",
+        fun () -> ignore (Net_sched.dispatch_latencies_us net));
+      ("Net_sched.packet_log", fun () -> ignore (Net_sched.packet_log net));
+    ]
+  in
+  List.iter
+    (fun (name, read) ->
+      match read () with
+      | () -> Alcotest.failf "%s: read an unarmed log without raising" name
+      | exception Invalid_argument msg ->
+          if not (Test_misc.contains msg "System.record_history") then
+            Alcotest.failf "%s: message does not name System.record_history: %s"
+              name msg)
+    readers;
+  System.shutdown sys
+
+(* With history off, a machine's live heap stays flat over simulated time:
+   nothing in the kernel appends per context switch. The rail timelines
+   are bounded by their retention, set short so they are full by 20 s. *)
+let test_history_off_heap_bounded () =
+  Gc.full_major ();
+  let base = (Gc.quick_stat ()).Gc.live_words in
+  let sys = System.create ~cores:1 ~rail_retention:(Some (Time.sec 5)) () in
+  List.iter
+    (fun name ->
+      let app = System.new_app sys ~name in
+      ignore
+        (W.spawn sys ~app ~name ~core:0
+           (W.forever (fun () -> [ W.Compute (Time.ms 50) ]))))
+    [ "a"; "b" ];
+  System.start sys;
+  let live_after span =
+    System.run_for sys span;
+    Gc.full_major ();
+    (Gc.quick_stat ()).Gc.live_words - base
+  in
+  let w20 = live_after (Time.sec 20) in
+  let w100 = live_after (Time.sec 80) in
+  check_bool
+    (Printf.sprintf "live words at 100 s (%d) within 1.1x of 20 s (%d)" w100 w20)
+    true
+    (float_of_int w100 <= 1.1 *. float_of_int w20);
+  System.shutdown sys
+
 let suite =
   [
     ("platform presets", `Quick, test_presets);
@@ -134,4 +208,6 @@ let suite =
     ("pay-as-you-go cycling", `Quick, test_pay_as_you_go_cycles);
     ("power bus and energy ledger", `Quick, test_power_bus_and_ledger);
     ("System.every periodic", `Quick, test_system_every);
+    ("unarmed history logs raise", `Quick, test_unarmed_history_raises);
+    ("history off keeps the heap bounded", `Quick, test_history_off_heap_bounded);
   ]
