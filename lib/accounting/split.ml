@@ -118,29 +118,47 @@ let total_attributed result = List.fold_left (fun a (_, e) -> a +. e) 0.0 result
    same segment boundaries, O(apps) per event and O(1) state. *)
 
 type live = {
-  mutable cur_w : float;
+  lw : lw;
   mutable last_t : Time.t;
-  shares : (int, float) Hashtbl.t;
-  acc : (int, float) Hashtbl.t;
+  shares : Share_table.t;
+  mutable acc : float array; (* app -> joules attributed *)
+  mutable seen : Bytes.t; (* app -> '\001' once it has an [acc] entry *)
   mutable lsub : Psbox_engine.Bus.subscription option;
   mutable ssub : Psbox_engine.Bus.subscription option;
       (* share-bus feed, when wired by a live_* constructor *)
 }
 
+(* The rail's draw since the last transition. An all-float record is
+   stored flat, so tracking it allocates nothing. *)
+and lw = { mutable cur_w : float }
+
+(* The share total is a float sum, taken in [Share_table]'s fixed visit
+   order; each app's accumulator adds on its own. *)
 let live_settle lv ~at =
-  let dt = Time.to_sec_f (at - lv.last_t) in
+  let dt = float_of_int (at - lv.last_t) /. 1e9 in
   if dt > 0.0 then begin
-    let total = Hashtbl.fold (fun _ s a -> if s > 1e-9 then a +. s else a) lv.shares 0.0 in
-    if total > 0.0 then
-      Hashtbl.iter
-        (fun app s ->
-          if s > 1e-9 then begin
-            let cur =
-              match Hashtbl.find_opt lv.acc app with Some x -> x | None -> 0.0
-            in
-            Hashtbl.replace lv.acc app (cur +. (lv.cur_w *. dt *. s /. total))
-          end)
-        lv.shares;
+    let sh = lv.shares in
+    let total = ref 0.0 in
+    for i = 0 to sh.n - 1 do
+      total := !total +. sh.share.(sh.apps.(i))
+    done;
+    let total = !total in
+    if total > 0.0 then begin
+      let len = Array.length sh.share in
+      if Array.length lv.acc < len then begin
+        let acc = Array.make len 0.0 and seen = Bytes.make len '\000' in
+        Array.blit lv.acc 0 acc 0 (Array.length lv.acc);
+        Bytes.blit lv.seen 0 seen 0 (Bytes.length lv.seen);
+        lv.acc <- acc;
+        lv.seen <- seen
+      end;
+      for i = 0 to sh.n - 1 do
+        let app = sh.apps.(i) in
+        lv.acc.(app) <-
+          lv.acc.(app) +. (lv.lw.cur_w *. dt *. sh.share.(app) /. total);
+        Bytes.set lv.seen app '\001'
+      done
+    end;
     lv.last_t <- at
   end
   else if dt = 0.0 then ()
@@ -149,10 +167,11 @@ let live_settle lv ~at =
 let live rail ~from =
   let lv =
     {
-      cur_w = Psbox_hw.Power_rail.power rail;
+      lw = { cur_w = Psbox_hw.Power_rail.power rail };
       last_t = from;
-      shares = Hashtbl.create 8;
-      acc = Hashtbl.create 8;
+      shares = Share_table.create ();
+      acc = [||];
+      seen = Bytes.empty;
       lsub = None;
       ssub = None;
     }
@@ -164,18 +183,22 @@ let live rail ~from =
          (fun tr ->
            let open Psbox_hw.Power_rail in
            live_settle lv ~at:tr.at;
-           lv.cur_w <- tr.after_w));
+           lv.lw.cur_w <- tr.after_w));
   lv
 
 let live_set_share lv ~at ~app share =
   if share < 0.0 then invalid_arg "Split.live_set_share: negative share";
   live_settle lv ~at;
-  if share > 1e-9 then Hashtbl.replace lv.shares app share
-  else Hashtbl.remove lv.shares app
+  if share > 1e-9 then Share_table.set lv.shares ~app share
+  else Share_table.remove lv.shares ~app
 
 let live_read lv ~until =
   live_settle lv ~at:until;
-  Hashtbl.fold (fun app e acc -> (app, e) :: acc) lv.acc [] |> List.sort compare
+  let r = ref [] in
+  for app = Bytes.length lv.seen - 1 downto 0 do
+    if Bytes.get lv.seen app = '\001' then r := (app, lv.acc.(app)) :: !r
+  done;
+  !r
 
 let live_detach lv =
   (match lv.lsub with

@@ -37,93 +37,107 @@ let all_causes = [ Active; Shared_rail; Lingering; Dvfs_transition; Idle_floor ]
    rail (between two of its transitions), the classification inputs —
    shares, last active app, DVFS index — may change several times; each
    change closes a sub-interval whose energy is billed under the state
-   that held *during* it. *)
+   that held *during* it. Floats sit in flat storage (an all-float record,
+   all-float cells), so settling allocates nothing but the joules handed
+   to the telemetry counters. *)
 type rstate = {
   rs_rail : string;
   rs_subsystem : string;
   rs_floor_w : float;
-  mutable rs_cur_w : float; (* draw over the current segment *)
+  rs_f : rfloats;
   mutable rs_seg_start : Time.t; (* segment start: mirrors the kernel ledger *)
   mutable rs_mark : Time.t; (* start of the open sub-interval *)
-  mutable rs_total_j : float; (* settled, bit-identical to the kernel ledger *)
-  rs_shares : (int, float) Hashtbl.t; (* app -> current share, > 0 *)
+  rs_shares : Share_table.t; (* app -> current share, > 0 *)
   mutable rs_last_active : int; (* lingering blame; 0 until anyone runs *)
   mutable rs_dvfs_index : int; (* as of the open sub-interval *)
-  rs_cells : (int * cause, float) Hashtbl.t; (* (app, cause) -> joules *)
+  rs_cells : (int, cell) Hashtbl.t; (* [cell_key app cause] -> joules *)
   rs_m_rail : Tm.counter;
 }
 
-type t = { a_sys : System.t; a_rails : (string, rstate) Hashtbl.t }
+and rfloats = {
+  mutable cur_w : float; (* draw over the current segment *)
+  mutable total_j : float; (* settled, bit-identical to the kernel ledger *)
+}
+
+and cell = { mutable j : float }
+
+type t = {
+  a_sys : System.t;
+  a_rails : (string, rstate) Hashtbl.t;
+  mutable a_names : string list; (* the rails, sorted: fixed at attach *)
+}
+
+let cell_key app cause = (app * 8) + cause_rank cause
 
 (* All five cause counters resolved at load — no lazily-populated shared
    memo for concurrent devices to race on. *)
 let m_cause =
   let cells =
-    List.map
-      (fun c -> (c, Tm.counter ("audit.cause." ^ cause_label c ^ "_j")))
-      all_causes
+    Array.of_list
+      (List.map
+         (fun c -> Tm.counter ("audit.cause." ^ cause_label c ^ "_j"))
+         all_causes)
   in
-  fun cause -> List.assq cause cells
+  fun cause -> cells.(cause_rank cause)
 
-(* Split the rail's current draw into (app, cause, watts) parts. The
-   parts need not sum to the draw bit-exactly: read-time rows re-derive
-   the idle-floor remainder against the exact rail total. *)
-let classify rs =
-  let w = rs.rs_cur_w in
-  if w <= 0.0 then []
-  else begin
-    let idle = Float.min w rs.rs_floor_w in
-    let dyn = w -. idle in
-    let base = if idle > 0.0 then [ (0, Idle_floor, idle) ] else [] in
-    if dyn <= 0.0 then base
-    else begin
-      let total_share, napps, an_app =
-        Hashtbl.fold
-          (fun app s (ts, n, _) ->
-            if s > 0.0 then (ts +. s, n + 1, app) else (ts, n, app))
-          rs.rs_shares (0.0, 0, 0)
-      in
-      if napps = 0 then begin
-        (* nobody is using the device yet it draws above its floor: a
-           lingering power state, split out further when the DVFS state is
-           still elevated (the governor has not stepped down) *)
-        let cause = if rs.rs_dvfs_index > 0 then Dvfs_transition else Lingering in
-        (rs.rs_last_active, cause, dyn) :: base
-      end
-      else if napps = 1 then (an_app, Active, dyn) :: base
-      else
-        Hashtbl.fold
-          (fun app s acc ->
-            if s > 0.0 then (app, Shared_rail, dyn *. (s /. total_share)) :: acc
-            else acc)
-          rs.rs_shares base
-    end
-  end
+(* Bill [j] joules to (app, cause). [j] arrives boxed, as the counters
+   take it, so it is boxed once rather than once per counter. *)
+let settle rs app cause j =
+  let key = cell_key app cause in
+  (match Hashtbl.find rs.rs_cells key with
+  | c -> c.j <- c.j +. j
+  | exception Not_found -> Hashtbl.replace rs.rs_cells key { j = 0.0 +. j });
+  Tm.add rs.rs_m_rail j;
+  Tm.add (m_cause cause) j
 
+(* Close the open sub-interval at [at]: split the rail's draw into
+   (app, cause) parts and bill each. The parts need not sum to the draw
+   bit-exactly: read-time rows re-derive the idle-floor remainder against
+   the exact rail total. Several users share the dynamic draw in
+   proportion to their shares. The billing order is fixed, because the
+   counters are float sums that fleet reports print to 17 digits: shared
+   parts in reverse [Share_table] visit order, then the idle floor. *)
 let flush rs at =
   if at > rs.rs_mark then begin
-    let dt = Time.to_sec_f (at - rs.rs_mark) in
-    List.iter
-      (fun (app, cause, w) ->
-        let j = w *. dt in
-        let key = (app, cause) in
-        let cur =
-          match Hashtbl.find_opt rs.rs_cells key with Some x -> x | None -> 0.0
-        in
-        Hashtbl.replace rs.rs_cells key (cur +. j);
-        Tm.add rs.rs_m_rail j;
-        Tm.add (m_cause cause) j)
-      (classify rs);
+    let dt = float_of_int (at - rs.rs_mark) /. 1e9 in
+    let w = rs.rs_f.cur_w in
+    if w > 0.0 then begin
+      let idle = Float.min w rs.rs_floor_w in
+      let dyn = w -. idle in
+      if dyn > 0.0 then begin
+        let sh = rs.rs_shares in
+        if sh.n = 0 then
+          (* nobody is using the device yet it draws above its floor: a
+             lingering power state, split out further when the DVFS state
+             is still elevated (the governor has not stepped down) *)
+          settle rs rs.rs_last_active
+            (if rs.rs_dvfs_index > 0 then Dvfs_transition else Lingering)
+            (dyn *. dt)
+        else if sh.n = 1 then settle rs sh.apps.(0) Active (dyn *. dt)
+        else begin
+          let total = ref 0.0 in
+          for i = 0 to sh.n - 1 do
+            total := !total +. sh.share.(sh.apps.(i))
+          done;
+          let total = !total in
+          for i = sh.n - 1 downto 0 do
+            let app = sh.apps.(i) in
+            settle rs app Shared_rail (dyn *. (sh.share.(app) /. total) *. dt)
+          done
+        end
+      end;
+      if idle > 0.0 then settle rs 0 Idle_floor (idle *. dt)
+    end;
     rs.rs_mark <- at
   end
 
 let set_share rs at app share =
   flush rs at;
   if share > 0.0 then begin
-    Hashtbl.replace rs.rs_shares app share;
+    Share_table.set rs.rs_shares ~app share;
     rs.rs_last_active <- app
   end
-  else Hashtbl.remove rs.rs_shares app
+  else Share_table.remove rs.rs_shares ~app
 
 (* ---- per-domain switchboard ---------------------------------------- *)
 
@@ -162,7 +176,7 @@ let attach sys =
   match lookup sys with
   | Some a -> a
   | None ->
-      let a = { a_sys = sys; a_rails = Hashtbl.create 8 } in
+      let a = { a_sys = sys; a_rails = Hashtbl.create 8; a_names = [] } in
       let now = System.now sys in
       let add rail subsystem dvfs =
         let name = Power_rail.name rail in
@@ -171,11 +185,10 @@ let attach sys =
             rs_rail = name;
             rs_subsystem = subsystem;
             rs_floor_w = Power_rail.floor_w rail;
-            rs_cur_w = Power_rail.power rail;
+            rs_f = { cur_w = Power_rail.power rail; total_j = 0.0 };
             rs_seg_start = now;
             rs_mark = now;
-            rs_total_j = 0.0;
-            rs_shares = Hashtbl.create 4;
+            rs_shares = Share_table.create ();
             rs_last_active = 0;
             rs_dvfs_index = 0;
             rs_cells = Hashtbl.create 16;
@@ -239,17 +252,18 @@ let attach sys =
       ignore
         (Bus.subscribe (System.power_bus sys)
            (fun (tr : Power_rail.transition) ->
-             match Hashtbl.find_opt a.a_rails tr.rail_name with
-             | Some rs ->
+             match Hashtbl.find a.a_rails tr.rail_name with
+             | rs ->
                  flush rs tr.at;
                  (* the kernel rail ledger's expression, operand for
                     operand, so the totals stay bit-identical *)
-                 rs.rs_total_j <-
-                   rs.rs_total_j
-                   +. (rs.rs_cur_w *. Time.to_sec_f (tr.at - rs.rs_seg_start));
+                 rs.rs_f.total_j <-
+                   rs.rs_f.total_j
+                   +. rs.rs_f.cur_w
+                      *. (float_of_int (tr.at - rs.rs_seg_start) /. 1e9);
                  rs.rs_seg_start <- tr.at;
-                 rs.rs_cur_w <- tr.after_w
-             | None -> (
+                 rs.rs_f.cur_w <- tr.after_w
+             | exception Not_found -> (
                  (* "<physical>.app<id>" attribution rails (display, GPS)
                     double as share feeds: the app rail's draw is its
                     share of the physical rail *)
@@ -272,6 +286,9 @@ let attach sys =
                          | Some app -> set_share rs tr.at app tr.after_w
                          | None -> ())
                      | _ -> ()))));
+      a.a_names <-
+        Hashtbl.fold (fun name _ acc -> name :: acc) a.a_rails []
+        |> List.sort String.compare;
       let w = Weak.create 1 in
       Weak.set w 0 (Some a);
       let s = sw () in
@@ -304,31 +321,34 @@ let system a = a.a_sys
 
 type row = { r_app : int; r_cause : cause; r_j : float; r_residual : bool }
 
-let rails a =
-  Hashtbl.fold (fun name _ acc -> name :: acc) a.a_rails []
-  |> List.sort String.compare
+let rails a = a.a_names
 
 let rail_state a ~rail =
-  match Hashtbl.find_opt a.a_rails rail with
-  | Some rs -> rs
-  | None -> invalid_arg ("Audit: unknown rail " ^ rail)
+  match Hashtbl.find a.a_rails rail with
+  | rs -> rs
+  | exception Not_found -> invalid_arg ("Audit: unknown rail " ^ rail)
 
 let subsystem a ~rail = (rail_state a ~rail).rs_subsystem
 
-let rail_total a ~rail =
-  let rs = rail_state a ~rail in
-  let now = System.now a.a_sys in
-  rs.rs_total_j +. (rs.rs_cur_w *. Time.to_sec_f (now - rs.rs_seg_start))
+(* The settled total plus the open segment, as the kernel ledger reads. *)
+let total_now a rs =
+  rs.rs_f.total_j
+  +. (rs.rs_f.cur_w *. Time.to_sec_f (System.now a.a_sys - rs.rs_seg_start))
+
+let rail_total a ~rail = total_now a (rail_state a ~rail)
+
+let causes = Array.of_list all_causes
 
 let rows a ~rail =
   let rs = rail_state a ~rail in
-  let now = System.now a.a_sys in
-  flush rs now;
-  let total = rs.rs_total_j +. (rs.rs_cur_w *. Time.to_sec_f (now - rs.rs_seg_start)) in
+  flush rs (System.now a.a_sys);
+  let total = total_now a rs in
+  let idle_key = cell_key 0 Idle_floor in
   let others =
     Hashtbl.fold
-      (fun (app, cause) j acc ->
-        if app = 0 && cause = Idle_floor then acc else (app, cause, j) :: acc)
+      (fun key c acc ->
+        if key = idle_key then acc
+        else (key asr 3, causes.(key land 7), c.j) :: acc)
       rs.rs_cells []
     |> List.sort (fun (a1, c1, _) (a2, c2, _) ->
            compare (a1, cause_rank c1) (a2, cause_rank c2))
@@ -361,8 +381,8 @@ let residue a ~rail =
       0.0 rws
   in
   let acc =
-    match Hashtbl.find_opt rs.rs_cells (0, Idle_floor) with
-    | Some x -> x
+    match Hashtbl.find_opt rs.rs_cells (cell_key 0 Idle_floor) with
+    | Some c -> c.j
     | None -> 0.0
   in
   res -. acc

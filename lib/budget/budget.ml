@@ -40,8 +40,11 @@ type entry = {
   e_ring : float array; (* per-period joules, circular *)
   mutable e_ring_i : int;
   mutable e_ring_n : int;
-  mutable e_history : (Time.t * float * float) list;
-      (* (tick time, windowed mean W, effective cap W), newest first *)
+  e_history : (Time.t * float * float) Trace.t;
+      (* (tick time, windowed mean W, effective cap W), once armed *)
+  mutable e_ticks : int; (* control ticks since the entry was made *)
+  mutable e_viols : int; (* ticks whose windowed mean overshot the cap *)
+  mutable e_early : int; (* bit k: tick k+1 overshot, for k < early_ticks *)
   (* telemetry handles (per app, resolved once) *)
   e_lane : string; (* "app<id>" *)
   e_g_throttle : Tm.gauge; (* budget.app<id>.throttle_level *)
@@ -60,6 +63,7 @@ type t = {
   epoch : Time.t; (* anchor of the control-period grid (creation time) *)
   mutable tick : Sim.handle; (* armed control tick; Sim.none while idle *)
   mutable stopped : bool;
+  mutable history_armed : bool;
   (* admission *)
   mutable machine_budget_w : float option;
   reserved : (int, float * float) Hashtbl.t;
@@ -151,6 +155,11 @@ let release_actuation ctl app =
 (* ------------------------------------------------------------------ *)
 (* Control loop                                                         *)
 
+(* Violations are counted online; those of the first [early_ticks] ticks
+   are also remembered one bit each, so a reader can leave out any warm-up
+   up to that length without the controller keeping a history. *)
+let early_ticks = Sys.int_size - 1
+
 let control_entry ctl e =
   (* settle this period's attributed energy into the window *)
   let total = app_total_j ctl ~app:e.e_app in
@@ -161,13 +170,17 @@ let control_entry ctl e =
   if e.e_ring_n < Array.length e.e_ring then e.e_ring_n <- e.e_ring_n + 1;
   let meas = windowed_mean_w ctl e in
   let cap = effective_cap_of ctl e in
-  e.e_history <- (now ctl, meas, cap) :: e.e_history;
+  e.e_ticks <- e.e_ticks + 1;
+  if Trace.armed e.e_history then Trace.record e.e_history (now ctl, meas, cap);
   Tm.set e.e_g_measured meas;
   (* the fleet layer's violation criterion, counted live so SLO burn-rate
      rules can watch it stream *)
   if Float.is_finite cap && meas > cap *. 1.05 then begin
     Tm.incr m_violations;
-    Tm.incr e.e_c_viol
+    Tm.incr e.e_c_viol;
+    e.e_viols <- e.e_viols + 1;
+    if e.e_ticks <= early_ticks then
+      e.e_early <- e.e_early lor (1 lsl (e.e_ticks - 1))
   end;
   if Tt.recording () then
     Tt.span ~track:budget_track ~lane:e.e_lane ~name:"control"
@@ -286,6 +299,7 @@ let create sys ?(period = Time.ms 50) ?(window_periods = 4)
       epoch = from;
       tick = Sim.none;
       stopped = false;
+      history_armed = false;
       machine_budget_w;
       reserved = Hashtbl.create 8;
       wait_q = Queue.create ();
@@ -296,6 +310,9 @@ let create sys ?(period = Time.ms 50) ?(window_periods = 4)
   ctl
 
 let period ctl = ctl.period
+
+let history_log () =
+  Trace.create ~reader:"Budget.history" ~arm_with:"Budget.record_history"
 
 let entry ctl app =
   match Hashtbl.find_opt ctl.entries app with
@@ -312,7 +329,10 @@ let entry ctl app =
           e_ring = Array.make ctl.window_periods 0.0;
           e_ring_i = 0;
           e_ring_n = 0;
-          e_history = [];
+          e_history = history_log ();
+          e_ticks = 0;
+          e_viols = 0;
+          e_early = 0;
           e_lane = "app" ^ string_of_int app;
           e_g_throttle =
             Tm.gauge (Printf.sprintf "budget.app%d.throttle_level" app);
@@ -322,6 +342,7 @@ let entry ctl app =
             Tm.counter (Printf.sprintf "budget.app%d.violations" app);
         }
       in
+      if ctl.history_armed then Trace.arm e.e_history;
       Tm.set e.e_g_throttle e.e_throttle;
       Hashtbl.replace ctl.entries app e;
       arm_tick ctl;
@@ -375,10 +396,29 @@ let throttle ctl ~app =
   | Some e -> e.e_throttle
   | None -> 1.0
 
+let record_history ctl =
+  ctl.history_armed <- true;
+  Hashtbl.iter (fun _ e -> Trace.arm e.e_history) ctl.entries
+
 let history ctl ~app =
   match Hashtbl.find_opt ctl.entries app with
-  | Some e -> List.rev e.e_history
-  | None -> []
+  | Some e -> Trace.to_list e.e_history
+  | None -> if ctl.history_armed then [] else Trace.to_list (history_log ())
+
+let violations ctl ~app ~warmup =
+  if warmup > early_ticks then
+    invalid_arg
+      (Printf.sprintf "Budget.violations: warmup above %d ticks" early_ticks);
+  match Hashtbl.find_opt ctl.entries app with
+  | None -> (0, 0)
+  | Some e ->
+      let early = ref (e.e_early land ((1 lsl max 0 warmup) - 1)) in
+      let n = ref 0 in
+      while !early <> 0 do
+        early := !early land (!early - 1);
+        incr n
+      done;
+      (e.e_viols - !n, e.e_ticks)
 
 let stop ctl =
   if not ctl.stopped then begin

@@ -91,9 +91,22 @@ val effective_cap_w : t -> app:int -> float
 val throttle : t -> app:int -> float
 (** Current actuation level in [0.02, 1.0]; 1.0 means unthrottled. *)
 
+val record_history : t -> unit
+(** Arm the per-tick history {!history} reads. The controller keeps none
+    until asked; call this before the ticks to be read. *)
+
 val history : t -> app:int -> (Psbox_engine.Time.t * float * float) list
 (** Per-tick trace [(time, measured_w, effective_cap_w)] in time order —
-    the convergence record the [budget] experiment plots. *)
+    the convergence record the [budget] experiment plots. Ticks before
+    {!record_history} are not in it.
+    @raise Invalid_argument if {!record_history} was never called. *)
+
+val violations : t -> app:int -> warmup:int -> int * int
+(** [(violations, ticks)]: of [app]'s control ticks so far, those after the
+    first [warmup] whose windowed mean overshot the effective cap by more
+    than 5%, and the number of ticks. Counted online, with no history;
+    [(0, 0)] for an app without a budget.
+    @raise Invalid_argument if [warmup] is above [Sys.int_size - 1]. *)
 
 val stop : t -> unit
 (** Cancel the control tick, release every actuator and detach the

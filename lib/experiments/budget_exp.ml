@@ -55,6 +55,7 @@ let co_run ?cap ?(model_admission = false) ~seed () =
     | None -> None
     | Some watts ->
         let ctl = Budget.create sys ~machine_budget_w:3.0 () in
+        Budget.record_history ctl;
         Budget.set_cap ctl ~app:a.System.app_id ~watts;
         Some ctl
   in

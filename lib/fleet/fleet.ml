@@ -100,9 +100,18 @@ let finish_health = function
       Health.stop eng;
       Health.incident_counts eng
 
+(* The first measurement window (the controller's averaging horizon) is
+   warm-up: the loop cannot have converged before it has even filled its
+   window, and counting it would flag every device. Violations are
+   steady-state overshoots only: [(violations, control ticks)]. *)
+let warmup_windows = 8
+
+let count_violations ctl ~app =
+  Budget.violations ctl ~app ~warmup:warmup_windows
+
 (* Each scenario returns the machine, its audit ledger, the capped app's
-   control history (empty when nothing is capped) and its fired-incident
-   counts (empty unless [health]). *)
+   [count_violations] ((0, 0) when nothing is capped) and its
+   fired-incident counts (empty unless [health]). *)
 let run_scenario ~health ~scenario ~sys_seed p =
   match scenario with
   | "budget" ->
@@ -131,11 +140,11 @@ let run_scenario ~health ~scenario ~sys_seed p =
       let ctl = Budget.create sys () in
       Budget.set_cap ctl ~app:batch.System.app_id ~watts:p.p_cap_w;
       System.run_for sys (Time.sec 2);
-      let hist = Budget.history ctl ~app:batch.System.app_id in
+      let viol = count_violations ctl ~app:batch.System.app_id in
       Budget.stop ctl;
       let incs = finish_health eng in
       System.shutdown sys;
-      (sys, audit, hist, incs)
+      (sys, audit, viol, incs)
   | "steady" ->
       let sys = machine ~sys_seed p in
       let audit = Audit.attach sys in
@@ -153,7 +162,7 @@ let run_scenario ~health ~scenario ~sys_seed p =
       System.run_for sys (Time.sec 2);
       let incs = finish_health eng in
       System.shutdown sys;
-      (sys, audit, [], incs)
+      (sys, audit, (0, 0), incs)
   | "mixed" ->
       (* A render tenant burning CPU + GPU + WiFi per frame, capped, next
          to an uncapped sync tenant — exercises multi-rail attribution and
@@ -185,11 +194,11 @@ let run_scenario ~health ~scenario ~sys_seed p =
       let ctl = Budget.create sys () in
       Budget.set_cap ctl ~app:render.System.app_id ~watts:p.p_cap_w;
       System.run_for sys (Time.sec 2);
-      let hist = Budget.history ctl ~app:render.System.app_id in
+      let viol = count_violations ctl ~app:render.System.app_id in
       Budget.stop ctl;
       let incs = finish_health eng in
       System.shutdown sys;
-      (sys, audit, hist, incs)
+      (sys, audit, viol, incs)
   | other -> invalid_arg ("Fleet: unknown scenario " ^ other)
 
 (* ---- one device ----------------------------------------------------- *)
@@ -225,27 +234,6 @@ let app_energies audit sys =
          (app.System.app_name, j))
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-(* The first measurement window (the controller's averaging horizon) is
-   warm-up: the loop cannot have converged before it has even filled its
-   window, and counting it would flag every device. Violations are
-   steady-state overshoots only. *)
-let warmup_windows = 8
-
-let count_violations hist =
-  List.fold_left
-    (fun (viol, windows) (_, measured, cap) ->
-      let windows = windows + 1 in
-      let viol =
-        if
-          windows > warmup_windows
-          && Float.is_finite cap
-          && measured > cap *. 1.05
-        then viol + 1
-        else viol
-      in
-      (viol, windows))
-    (0, 0) hist
-
 let run_device ?(health = false) ~scenario ~fleet_seed idx =
   if not (List.mem scenario scenario_ids) then
     invalid_arg ("Fleet: unknown scenario " ^ scenario);
@@ -262,10 +250,9 @@ let run_device ?(health = false) ~scenario ~fleet_seed idx =
       Fun.protect
         ~finally:(fun () -> Audit.set_report_mode saved_report)
         (fun () ->
-          let sys, audit, hist, d_incidents =
+          let sys, audit, (d_violations, d_windows), d_incidents =
             run_scenario ~health ~scenario ~sys_seed p
           in
-          let d_violations, d_windows = count_violations hist in
           let dev =
             {
               d_index = idx;

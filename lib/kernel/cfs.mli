@@ -1,10 +1,11 @@
 (** Per-core CFS runqueue.
 
     One instance manages the runnable entities of one core, ordered by
-    vruntime (the scheduling credit). The running entity is dequeued while it
-    runs, as in Linux. [min_vruntime] advances monotonically and anchors the
-    placement of newly woken entities so sleepers neither starve nor bank
-    unbounded credit. *)
+    vruntime (the scheduling credit) as it stood when each was enqueued
+    (ties by eid); {!requeue} refreshes an entity's place. The running
+    entity is dequeued while it runs, as in Linux. [min_vruntime] advances
+    monotonically and anchors the placement of newly woken entities so
+    sleepers neither starve nor bank unbounded credit. *)
 
 type t
 
@@ -26,6 +27,11 @@ val requeue : t -> Entity.t -> unit
 
 val leftmost : t -> Entity.t option
 (** The queued entity with the least vruntime (excluding the running one). *)
+
+val best_other : t -> Entity.t -> Entity.t option
+(** The queued entity with the least vruntime other than the given one:
+    what a balloon's entity must beat on this core. Allocates only the
+    option. *)
 
 val queued : t -> Entity.t list
 (** All queued entities, least vruntime first. *)

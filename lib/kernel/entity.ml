@@ -12,7 +12,7 @@ type t = {
   eid : int;
   kind : kind;
   weight : float;
-  mutable vruntime : float;
+  vruntime : Task.vclock;
   mutable on_rq : bool;
 }
 
@@ -30,7 +30,7 @@ let of_task task =
     eid = fresh_eid ();
     kind = ETask task;
     weight = task.Task.weight;
-    vruntime = task.Task.vruntime;
+    vruntime = { Task.ns = task.Task.vruntime.ns };
     on_rq = false;
   }
 
@@ -39,7 +39,7 @@ let group ~psbox_id ~core ?(weight = 1024.0) () =
     eid = fresh_eid ();
     kind = EGroup { psbox_id; gcore = core; gtasks = []; gcurr = None; loan = 0.0 };
     weight;
-    vruntime = 0.0;
+    vruntime = { Task.ns = 0.0 };
     on_rq = false;
   }
 
@@ -59,7 +59,7 @@ let group_pick g =
     else
       match acc with
       | None -> Some t
-      | Some b -> if t.Task.vruntime < b.Task.vruntime then Some t else acc
+      | Some b -> if t.Task.vruntime.ns < b.Task.vruntime.ns then Some t else acc
   in
   List.fold_left best None g.gtasks
 
@@ -68,4 +68,4 @@ let pp fmt e =
   | ETask t -> Format.fprintf fmt "E[%a]" Task.pp t
   | EGroup g ->
       Format.fprintf fmt "E[psbox%d core%d vrt=%.0f loan=%.0f |tasks|=%d]"
-        g.psbox_id g.gcore e.vruntime g.loan (List.length g.gtasks)
+        g.psbox_id g.gcore e.vruntime.ns g.loan (List.length g.gtasks)

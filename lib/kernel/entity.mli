@@ -20,7 +20,7 @@ type t = {
   eid : int;
   kind : kind;
   weight : float;
-  mutable vruntime : float;
+  vruntime : Task.vclock;  (** its own cell, never shared with its task *)
   mutable on_rq : bool;
 }
 

@@ -324,9 +324,9 @@ let curr_vruntime_now smp core e =
     | Entity.EGroup g -> smp.cfg.confine_cost || g.Entity.gcurr <> None
     | Entity.ETask _ -> true
   in
-  if delta <= 0 || not charging then e.Entity.vruntime
+  if delta <= 0 || not charging then e.Entity.vruntime.ns
   else
-    e.Entity.vruntime
+    e.Entity.vruntime.ns
     +. (float_of_int delta *. Cfs.nice0_weight /. e.Entity.weight)
 
 (* Nanoseconds until a charged entity's vruntime grows by [dv], clamped to
@@ -537,10 +537,10 @@ and try_steal smp core =
           let rqj = smp.rqs.(j) in
           Cfs.dequeue rqj e;
           t.Task.core <- core;
-          e.Entity.vruntime <-
-            e.Entity.vruntime -. Cfs.min_vruntime rqj
+          e.Entity.vruntime.ns <-
+            e.Entity.vruntime.ns -. Cfs.min_vruntime rqj
             +. Cfs.min_vruntime smp.rqs.(core);
-          t.Task.vruntime <- e.Entity.vruntime;
+          t.Task.vruntime.ns <- e.Entity.vruntime.ns;
           Some e
       | None -> None)
 
@@ -594,16 +594,12 @@ and join_balloon smp b j =
     put_prev smp j;
     let e = b.b_entities.(j) in
     (* initial loan: what E_j must borrow to beat the core's best runnable *)
-    let best =
-      List.find_opt
-        (fun e' -> e'.Entity.eid <> e.Entity.eid)
-        (Cfs.queued smp.rqs.(j))
-    in
+    let best = Cfs.best_other smp.rqs.(j) e in
     (match (e.Entity.kind, best) with
     | Entity.EGroup g, Some best ->
         g.Entity.loan <-
           Float.max g.Entity.loan
-            (Float.max 0.0 (e.Entity.vruntime -. best.Entity.vruntime))
+            (Float.max 0.0 (e.Entity.vruntime.ns -. best.Entity.vruntime.ns))
     | _ -> ());
     run smp j (Some e);
     b.b_joined <- b.b_joined + 1;
@@ -624,15 +620,12 @@ and cosched_out smp ?(local = 0) b =
      tick-driven scheduler sampled this at most a tick late) *)
   for i = 0 to cores smp - 1 do
     let e = b.b_entities.(i) in
-    let best =
-      List.find_opt
-        (fun e' -> e'.Entity.eid <> e.Entity.eid)
-        (Cfs.queued smp.rqs.(i))
-    in
+    let best = Cfs.best_other smp.rqs.(i) e in
     match (e.Entity.kind, best) with
     | Entity.EGroup g, Some best ->
         g.Entity.loan <-
-          Float.max g.Entity.loan (e.Entity.vruntime -. best.Entity.vruntime)
+          Float.max g.Entity.loan
+            (e.Entity.vruntime.ns -. best.Entity.vruntime.ns)
     | _ -> ()
   done;
   b.b_live <- false;
@@ -660,7 +653,8 @@ and cosched_out smp ?(local = 0) b =
   List.iter
     (fun (e, g) ->
       if smp.cfg.confine_cost then
-        e.Entity.vruntime <- e.Entity.vruntime +. ((total /. n) -. g.Entity.loan);
+        e.Entity.vruntime.ns <-
+          e.Entity.vruntime.ns +. ((total /. n) -. g.Entity.loan);
       g.Entity.loan <- 0.0)
     groups;
   (* schedule out everywhere: local core now, remote cores after the IPI *)
@@ -677,18 +671,17 @@ and balloon_tick smp ~local b =
   let wins = ref 0 in
   for i = 0 to n - 1 do
     let e = b.b_entities.(i) in
-    let best =
-      List.find_opt (fun e' -> e'.Entity.eid <> e.Entity.eid) (Cfs.queued smp.rqs.(i))
-    in
+    let best = Cfs.best_other smp.rqs.(i) e in
     match best with
     | None -> incr wins
     | Some best ->
-        if e.Entity.vruntime <= best.Entity.vruntime then incr wins
+        if e.Entity.vruntime.ns <= best.Entity.vruntime.ns then incr wins
         else begin
           match e.Entity.kind with
           | Entity.EGroup g ->
               g.Entity.loan <-
-                Float.max g.Entity.loan (e.Entity.vruntime -. best.Entity.vruntime)
+                Float.max g.Entity.loan
+                  (e.Entity.vruntime.ns -. best.Entity.vruntime.ns)
           | Entity.ETask _ -> ()
         end
   done;
@@ -757,7 +750,7 @@ and replan_core smp core =
            (confined group sitting idle) never crosses at all — chain at
            the horizon instead. *)
         let v = curr_vruntime_now smp core c in
-        let dv = l.Entity.vruntime -. v in
+        let dv = l.Entity.vruntime.ns -. v in
         let charging =
           match c.Entity.kind with
           | Entity.EGroup g -> smp.cfg.confine_cost || g.Entity.gcurr <> None
@@ -794,9 +787,9 @@ and replan_rotate smp core =
         | Some t ->
             let delta = now - smp.curr_started.(core) in
             let v =
-              if delta <= 0 then t.Task.vruntime
+              if delta <= 0 then t.Task.vruntime.ns
               else
-                t.Task.vruntime
+                t.Task.vruntime.ns
                 +. (float_of_int delta *. Cfs.nice0_weight /. t.Task.weight)
             in
             let next =
@@ -806,7 +799,7 @@ and replan_rotate smp core =
                     (* [group_pick] breaks vruntime ties by list order, so a
                        tie may keep the current task — re-check >= 1 ns
                        later, never at the same instant *)
-                    let dv = t'.Task.vruntime -. v in
+                    let dv = t'.Task.vruntime.ns -. v in
                     let at =
                       if dv < 0.0 then now
                       else now + max 1 (ns_until_dv ~weight:t.Task.weight dv)
@@ -840,7 +833,7 @@ and plan_fired smp core =
         Tm.incr smp.tm_ev_preempt;
         let rq = smp.rqs.(core) in
         match (Cfs.curr rq, Cfs.leftmost rq) with
-        | Some c, Some l when l.Entity.vruntime < c.Entity.vruntime ->
+        | Some c, Some l when l.Entity.vruntime.ns < c.Entity.vruntime.ns ->
             resched smp core
         | None, Some _ -> resched smp core
         | _ -> replan_core smp core)
@@ -863,11 +856,7 @@ and replan_balloon smp b =
     for i = 0 to cores smp - 1 do
       let e = b.b_entities.(i) in
       let rq = smp.rqs.(i) in
-      let best =
-        List.find_opt
-          (fun e' -> e'.Entity.eid <> e.Entity.eid)
-          (Cfs.queued rq)
-      in
+      let best = Cfs.best_other rq e in
       let charging =
         curr_is rq e
         &&
@@ -876,12 +865,12 @@ and replan_balloon smp b =
         | Entity.ETask _ -> true
       in
       let v =
-        if curr_is rq e then curr_vruntime_now smp i e else e.Entity.vruntime
+        if curr_is rq e then curr_vruntime_now smp i e else e.Entity.vruntime.ns
       in
       match best with
       | None -> lose_all := None
       | Some best ->
-          let dv = best.Entity.vruntime -. v in
+          let dv = best.Entity.vruntime.ns -. v in
           let t_lose =
             if dv < 0.0 then now
             else if charging then
@@ -895,7 +884,7 @@ and replan_balloon smp b =
           | Entity.EGroup g ->
               if g.Entity.loan > smp.cfg.max_loan then at := min !at now
               else if charging then begin
-                let dv_cap = smp.cfg.max_loan +. best.Entity.vruntime -. v in
+                let dv_cap = smp.cfg.max_loan +. best.Entity.vruntime.ns -. v in
                 at :=
                   min !at
                     (now + max 1 (ns_until_dv ~weight:e.Entity.weight dv_cap))
@@ -929,13 +918,9 @@ and balloon_fired smp =
         let local = ref 0 and best_v = ref infinity in
         for i = 0 to cores smp - 1 do
           let e = b.b_entities.(i) in
-          match
-            List.find_opt
-              (fun e' -> e'.Entity.eid <> e.Entity.eid)
-              (Cfs.queued smp.rqs.(i))
-          with
-          | Some w when w.Entity.vruntime < !best_v ->
-              best_v := w.Entity.vruntime;
+          match Cfs.best_other smp.rqs.(i) e with
+          | Some w when w.Entity.vruntime.ns < !best_v ->
+              best_v := w.Entity.vruntime.ns;
               local := i
           | Some _ | None -> ()
         done;
@@ -1024,7 +1009,9 @@ let preempt_check smp core e =
       match Cfs.curr rq with
       | None -> resched smp core
       | Some c ->
-          if e.Entity.vruntime +. smp.cfg.wakeup_granularity < c.Entity.vruntime
+          if
+            e.Entity.vruntime.ns +. smp.cfg.wakeup_granularity
+            < c.Entity.vruntime.ns
           then resched smp core
           else
             (* no immediate preemption; the crossing with the new waiter
@@ -1066,7 +1053,7 @@ let wake smp t =
           else begin
             if (not e.Entity.on_rq) && not (curr_is rq e) then begin
               Cfs.place_woken rq e;
-              t.Task.vruntime <- e.Entity.vruntime;
+              t.Task.vruntime.ns <- e.Entity.vruntime.ns;
               Cfs.enqueue rq e
             end;
             preempt_check smp core e
@@ -1112,7 +1099,7 @@ let spawn smp t =
       let e = Entity.of_task t in
       Hashtbl.replace smp.task_entities t.Task.tid e;
       Cfs.place_new rq e;
-      t.Task.vruntime <- e.Entity.vruntime;
+      t.Task.vruntime.ns <- e.Entity.vruntime.ns;
       if not (throttled_app smp t.Task.app) then begin
         Cfs.enqueue rq e;
         preempt_check smp core e
@@ -1136,7 +1123,7 @@ let unthrottle smp app q =
             let rq = smp.rqs.(t.Task.core) in
             if (not e.Entity.on_rq) && not (curr_is rq e) then begin
               Cfs.place_woken rq e;
-              t.Task.vruntime <- e.Entity.vruntime;
+              t.Task.vruntime.ns <- e.Entity.vruntime.ns;
               Cfs.enqueue rq e;
               preempt_check smp t.Task.core e
             end
@@ -1350,10 +1337,10 @@ let sandbox smp ~app =
             match ts with
             | [] -> 0.0
             | _ ->
-                List.fold_left (fun a t -> a +. t.Task.vruntime) 0.0 ts
+                List.fold_left (fun a t -> a +. t.Task.vruntime.ns) 0.0 ts
                 /. float_of_int (List.length ts)
           in
-          e.Entity.vruntime <- Float.max avg (Cfs.min_vruntime rq)
+          e.Entity.vruntime.ns <- Float.max avg (Cfs.min_vruntime rq)
       | Entity.ETask _ -> ());
       if Entity.runnable e then Cfs.enqueue rq e)
     entities;
@@ -1392,11 +1379,11 @@ let unsandbox smp b =
           List.iter
             (fun t ->
               let te = Entity.of_task t in
-              te.Entity.vruntime <- t.Task.vruntime;
+              te.Entity.vruntime.ns <- t.Task.vruntime.ns;
               Hashtbl.replace smp.task_entities t.Task.tid te;
               if Task.is_runnable t then begin
                 Cfs.place_woken rq te;
-                t.Task.vruntime <- te.Entity.vruntime;
+                t.Task.vruntime.ns <- te.Entity.vruntime.ns;
                 Cfs.enqueue rq te
               end)
             g.Entity.gtasks;

@@ -6,23 +6,26 @@ type app = {
   counters : (string, float) Hashtbl.t;
 }
 
-(* Machine-wide energy bookkeeping, maintained as a bus subscriber: O(1)
-   per power transition, O(1) to query, regardless of history length. *)
-type ledger = {
-  mutable total_w : float; (* current draw summed over all metered rails *)
-  mutable settled_t : Time.t;
-  mutable settled_j : float; (* energy accumulated up to [settled_t] *)
+(* Energy bookkeeping, maintained as a bus subscriber: O(1) per power
+   transition, O(1) to query, regardless of history length. The draw and
+   the energy settled so far sit in an all-float record, which OCaml
+   stores flat, so settling a transition allocates nothing. *)
+type energy = {
+  mutable w : float; (* current draw *)
+  mutable j : float; (* energy accumulated up to the ledger's instant *)
 }
 
-(* Per-rail ledger with the same O(1) technique, settled only on that
-   rail's own transitions (the draw is constant in between). The audit
-   ledger reproduces exactly this accumulation, operand for operand, so
-   its per-rail attribution totals can be compared bit-for-bit. *)
-type rail_ledger = {
-  mutable rl_w : float;
-  mutable rl_t : Time.t;
-  mutable rl_j : float;
-}
+type ledger = { e : energy; mutable at : Time.t }
+
+let new_ledger w now = { e = { w; j = 0.0 }; at = now }
+
+(* [j += w * (at - t)], then move to [at]: the one accumulation both the
+   machine ledger and the per-rail ledgers use. The audit ledger
+   reproduces exactly this accumulation, operand for operand, so its
+   per-rail attribution totals can be compared bit-for-bit. *)
+let settle l at =
+  l.e.j <- l.e.j +. (l.e.w *. (float_of_int (at - l.at) /. 1e9));
+  l.at <- at
 
 type t = {
   sim : Sim.t;
@@ -36,8 +39,8 @@ type t = {
   display : Psbox_hw.Display.t option;
   gps : Psbox_hw.Gps.t option;
   power_bus : Psbox_hw.Power_rail.transition Bus.t;
-  ledger : ledger;
-  rail_ledgers : (string, rail_ledger) Hashtbl.t;
+  ledger : ledger; (* machine-wide: the draw summed over metered rails *)
+  rail_ledgers : (string, ledger) Hashtbl.t; (* per physical rail *)
   mutable apps : app list;
   mutable next_app : int;
   mutable started : bool;
@@ -167,42 +170,31 @@ let create ?(seed = 42) ?(cores = 2)
   (match gps with
   | Some g -> Psbox_hw.Gps.set_on_app_rail g forward
   | None -> ());
+  let now = Sim.now sim in
   let ledger =
-    {
-      total_w =
-        List.fold_left (fun acc r -> acc +. Psbox_hw.Power_rail.power r) 0.0 rails;
-      settled_t = Sim.now sim;
-      settled_j = 0.0;
-    }
+    new_ledger
+      (List.fold_left (fun acc r -> acc +. Psbox_hw.Power_rail.power r) 0.0 rails)
+      now
   in
   let rail_ledgers = Hashtbl.create 8 in
   List.iter
     (fun r ->
       Hashtbl.replace rail_ledgers
         (Psbox_hw.Power_rail.name r)
-        {
-          rl_w = Psbox_hw.Power_rail.power r;
-          rl_t = Sim.now sim;
-          rl_j = 0.0;
-        })
+        (new_ledger (Psbox_hw.Power_rail.power r) now))
     rails;
   ignore
-    (Bus.subscribe power_bus (fun tr ->
-         let open Psbox_hw.Power_rail in
+    (Bus.subscribe power_bus (fun (tr : Psbox_hw.Power_rail.transition) ->
          (* attribution rails are named "<physical>.app<id>"; physical rail
             names carry no dot *)
          if not (String.contains tr.rail_name '.') then begin
-           ledger.settled_j <-
-             ledger.settled_j
-             +. (ledger.total_w *. Time.to_sec_f (tr.at - ledger.settled_t));
-           ledger.settled_t <- tr.at;
-           ledger.total_w <- ledger.total_w +. tr.after_w -. tr.before_w;
-           match Hashtbl.find_opt rail_ledgers tr.rail_name with
-           | Some rl ->
-               rl.rl_j <- rl.rl_j +. (rl.rl_w *. Time.to_sec_f (tr.at - rl.rl_t));
-               rl.rl_t <- tr.at;
-               rl.rl_w <- tr.after_w
-           | None -> ()
+           settle ledger tr.at;
+           ledger.e.w <- ledger.e.w +. tr.after_w -. tr.before_w;
+           match Hashtbl.find rail_ledgers tr.rail_name with
+           | rl ->
+               settle rl tr.at;
+               rl.e.w <- tr.after_w
+           | exception Not_found -> ()
          end));
   let uid_ref = Domain.DLS.get next_uid in
   incr uid_ref;
@@ -300,17 +292,19 @@ let run_for sys span = Sim.run_until sys.sim (Sim.now sys.sim + span)
 let now sys = Sim.now sys.sim
 
 let power_bus sys = sys.power_bus
-let live_power_w sys = sys.ledger.total_w
+let live_power_w sys = sys.ledger.e.w
 
-let live_energy_j sys =
-  sys.ledger.settled_j
-  +. (sys.ledger.total_w *. Time.to_sec_f (Sim.now sys.sim - sys.ledger.settled_t))
+(* The settled energy plus the open segment, without settling it. *)
+let energy_now sys l =
+  l.e.j +. (l.e.w *. Time.to_sec_f (Sim.now sys.sim - l.at))
+
+let live_energy_j sys = energy_now sys sys.ledger
 
 let rail_energy_j sys ~name =
-  match Hashtbl.find_opt sys.rail_ledgers name with
-  | Some rl ->
-      rl.rl_j +. (rl.rl_w *. Time.to_sec_f (Sim.now sys.sim - rl.rl_t))
-  | None -> invalid_arg ("System.rail_energy_j: unknown rail " ^ name)
+  match Hashtbl.find sys.rail_ledgers name with
+  | rl -> energy_now sys rl
+  | exception Not_found ->
+      invalid_arg ("System.rail_energy_j: unknown rail " ^ name)
 
 let rail_energy_table sys =
   Hashtbl.fold (fun name _ acc -> name :: acc) sys.rail_ledgers []

@@ -8,6 +8,7 @@ type action =
   | Exit
 
 type program = unit -> action
+type vclock = { mutable ns : float }
 
 type t = {
   tid : int;
@@ -16,7 +17,7 @@ type t = {
   weight : float;
   mutable state : state;
   mutable core : int;
-  mutable vruntime : float;
+  vruntime : vclock;
   mutable remaining : Psbox_engine.Time.span;
   mutable program : program;
   mutable wake_pending : bool;
@@ -39,7 +40,7 @@ let create ~app ~name ?(weight = 1024.0) ?(core = 0) ~program () =
     weight;
     state = Runnable;
     core;
-    vruntime = 0.0;
+    vruntime = { ns = 0.0 };
     remaining = 0;
     program;
     wake_pending = false;
@@ -50,4 +51,4 @@ let is_runnable t = t.state = Runnable || t.state = Running
 
 let pp fmt t =
   Format.fprintf fmt "task%d(%s app%d core%d vrt=%.0f)" t.tid t.name t.app
-    t.core t.vruntime
+    t.core t.vruntime.ns

@@ -17,6 +17,11 @@ type action =
 
 type program = unit -> action
 
+type vclock = { mutable ns : float }
+(** A vruntime: weighted runtime in nanoseconds. An all-float record is
+    stored flat, so advancing one allocates nothing, where a float field
+    of a mixed record would be boxed anew on every write. *)
+
 type t = {
   tid : int;
   app : int;
@@ -24,7 +29,7 @@ type t = {
   weight : float;
   mutable state : state;
   mutable core : int;
-  mutable vruntime : float;  (** weighted runtime, nanoseconds *)
+  vruntime : vclock;
   mutable remaining : Psbox_engine.Time.span;  (** left of the current [Run] *)
   mutable program : program;
   mutable wake_pending : bool;

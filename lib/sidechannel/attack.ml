@@ -15,7 +15,7 @@ let train labelled ?(downsample = 50) ?band () =
 
 let classify m trace =
   match m.templates with
-  | [] -> invalid_arg "Attack.classify: empty model"
+  | [] -> invalid_arg "Attack.success_rate: empty model"
   | (l0, t0) :: rest ->
       let x = preprocess m trace in
       let d0 = Dtw.distance ?band:m.band t0 x in

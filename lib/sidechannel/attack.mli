@@ -13,9 +13,7 @@ val train : (string * float array) list -> ?downsample:int -> ?band:int -> unit 
 (** [train labelled] builds a 1-NN model from (label, trace) pairs. Traces
     are mean-pooled by [downsample] (default 50) and z-normalized. *)
 
-val classify : model -> float array -> string
-(** Label of the nearest training trace. @raise Invalid_argument on an empty
-    model. *)
-
 val success_rate : model -> (string * float array) list -> float
-(** Fraction of test traces classified with their true label. *)
+(** Fraction of test traces classified with their true label: the label of
+    the nearest training trace. @raise Invalid_argument on an empty
+    model. *)

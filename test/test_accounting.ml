@@ -152,6 +152,76 @@ let test_live_split_matches_offline () =
     < Psbox_hw.Power_rail.energy_j rail ~from:0 ~until:(Time.sec 5) -. 0.5);
   Split.live_detach lv
 
+(* The array-backed live splitter against the hash-table reference, on
+   random traces: 3 to 48 apps with sparse ids below 64 (past 32 at once
+   the reference table doubles its buckets), non-integer shares, share
+   drops and same-instant changes, and power steps on the rail. Every
+   read must agree to the bit. *)
+let prop_live_matches_reference =
+  let gen =
+    QCheck.Gen.(
+      let* k = 3 -- 48 in
+      let* ids = shuffle_l (List.init 64 Fun.id) in
+      let apps = Array.of_list (List.filteri (fun i _ -> i < k) ids) in
+      let op =
+        frequency
+          [
+            ( 5,
+              map2
+                (fun i s -> `Share (apps.(i mod k), s))
+                (0 -- 63)
+                (frequency [ (4, float_range 0.01 4.0); (1, return 0.0) ]) );
+            (2, map (fun w -> `Power w) (float_range 0.0 5.0));
+            (1, return `Read);
+          ]
+      in
+      list_size (10 -- 300) (pair (0 -- 3_000_000) op))
+  in
+  let print ops =
+    String.concat "; "
+      (List.map
+         (fun (dt, op) ->
+           match op with
+           | `Share (app, s) -> Printf.sprintf "+%d app%d %h" dt app s
+           | `Power w -> Printf.sprintf "+%d %hW" dt w
+           | `Read -> Printf.sprintf "+%d read" dt)
+         ops)
+  in
+  QCheck.Test.make ~name:"live splitter matches the reference bit-for-bit"
+    ~count:200 (QCheck.make ~print gen) (fun ops ->
+      let sim = Sim.create () in
+      let rail = Psbox_hw.Power_rail.create sim ~name:"dev" ~idle_w:0.5 in
+      let lv = Split.live rail ~from:0 in
+      let rf = Ref_split.create rail ~from:0 in
+      let same () =
+        let until = Sim.now sim in
+        let a = Split.live_read lv ~until and b = Ref_split.read rf ~until in
+        List.length a = List.length b
+        && List.for_all2
+             (fun (x, j) (y, j') ->
+               x = y && Int64.bits_of_float j = Int64.bits_of_float j')
+             a b
+      in
+      let ok = ref true in
+      let t = ref 0 in
+      List.iter
+        (fun (dt, op) ->
+          t := !t + dt;
+          ignore
+            (Sim.schedule_at sim !t (fun () ->
+                 let at = Sim.now sim in
+                 match op with
+                 | `Share (app, s) ->
+                     Split.live_set_share lv ~at ~app s;
+                     Ref_split.set_share rf ~at ~app s
+                 | `Power w -> Psbox_hw.Power_rail.set_power rail w
+                 | `Read -> if not (same ()) then ok := false)))
+        ops;
+      Sim.run_until sim (!t + 1_000_000);
+      let ok = !ok && same () in
+      Split.live_detach lv;
+      ok)
+
 let suite =
   [
     ("segments sweep", `Quick, test_segments_sweep);
@@ -165,4 +235,5 @@ let suite =
     ("windowed by count", `Quick, test_windowed_by_count);
     ("live split matches offline", `Quick, test_live_split_matches_offline);
     QCheck_alcotest.to_alcotest prop_attribution_bounded;
+    QCheck_alcotest.to_alcotest prop_live_matches_reference;
   ]

@@ -7,6 +7,8 @@ module System = Psbox_kernel.System
 module Audit = Psbox_audit.Audit
 module Psbox = Psbox_core.Psbox
 module W = Psbox_workloads.Workload
+module Tm = Psbox_telemetry.Metrics
+module Budget = Psbox_budget.Budget
 
 let bits = Int64.bits_of_float
 
@@ -228,6 +230,151 @@ let test_pure_observer () =
        (fun (n0, j0) (n1, j1) -> n0 = n1 && bits j0 = bits j1)
        rails0 rails1)
 
+(* The flat-storage audit against the reference classify/flush kept in
+   [Ref_audit], on a machine where several apps share rails with
+   non-integer shares: display surfaces and GPS subscriptions come and go
+   for five apps (their per-app rails' watts are the shares) while three of
+   them also compute and render. Rows, conservation and the printed
+   audit.*_j counters must all match the reference to the bit, which holds
+   only if shared draw is billed in the reference's order. *)
+let test_order_matches_reference () =
+  Tm.with_fresh_store (fun () ->
+      let sys = System.create ~cores:2 ~gpu:true ~display:true ~gps:true () in
+      let audit = Audit.attach sys in
+      let rf = Ref_audit.attach sys in
+      let apps =
+        Array.init 5 (fun i -> System.new_app sys ~name:(Printf.sprintf "a%d" i))
+      in
+      for i = 0 to 2 do
+        ignore
+          (W.spawn sys ~app:apps.(i) ~name:"w" ~core:(i mod 2)
+             (W.forever (fun () ->
+                  [
+                    W.Compute (Time.ms (1 + i));
+                    W.Gpu_batch [ W.spec ~kind:"k" ~work_s:0.002 () ];
+                    W.Sleep (Time.ms 2);
+                  ])))
+      done;
+      System.start sys;
+      let d = System.display sys and g = System.gps sys in
+      let rng = Rng.create ~seed:11 in
+      for k = 1 to 300 do
+        let app = apps.(Rng.int rng 5).System.app_id in
+        let r = Rng.int rng 6 in
+        ignore
+          (Sim.schedule_at (System.sim sys) (Time.ms (3 * k)) (fun () ->
+               if r < 3 then
+                 Psbox_hw.Display.set_surface d ~app
+                   ~pixels:(50_000 + Rng.int rng 900_000)
+                   ~luminance:(Rng.float rng 1.0)
+               else if r = 3 then Psbox_hw.Display.remove_surface d ~app
+               else if r = 4 then Psbox_hw.Gps.subscribe g ~app
+               else Psbox_hw.Gps.unsubscribe g ~app))
+      done;
+      let compare_all () =
+        List.iter
+          (fun rail ->
+            let ours =
+              List.map
+                (fun r -> Audit.(r.r_app, r.r_cause, bits r.r_j, r.r_residual))
+                (Audit.rows audit ~rail)
+            in
+            let theirs =
+              List.map
+                (fun (app, c, j, res) -> (app, c, bits j, res))
+                (Ref_audit.rows rf ~rail)
+            in
+            Alcotest.(check bool) (rail ^ " rows bit-identical") true (ours = theirs);
+            let counter name = Option.value (Tm.find name) ~default:0.0 in
+            Alcotest.(check bool)
+              (rail ^ " counter bit-identical") true
+              (bits (counter ("audit.rail." ^ rail ^ "_j"))
+              = bits (Ref_audit.rail_counter rf ~rail)))
+          (Audit.rails audit);
+        List.iter
+          (fun c ->
+            let name = "audit.cause." ^ Audit.cause_label c ^ "_j" in
+            Alcotest.(check bool)
+              (name ^ " bit-identical") true
+              (bits (Option.value (Tm.find name) ~default:0.0)
+              = bits (Ref_audit.cause_counter rf c)))
+          Audit.all_causes;
+        match Audit.check audit with
+        | Ok () -> ()
+        | Error msg -> Alcotest.failf "conservation violated: %s" msg
+      in
+      System.run_for sys (Time.ms 450);
+      compare_all ();
+      System.run_for sys (Time.ms 600);
+      compare_all ();
+      (* the order only matters if draw was really shared three ways *)
+      let sharers rail =
+        Audit.rows audit ~rail
+        |> List.filter (fun r -> r.Audit.r_cause = Audit.Shared_rail)
+        |> List.length
+      in
+      Alcotest.(check bool) "display shared by 3+ apps" true (sharers "display" >= 3);
+      Alcotest.(check bool) "gps shared by 3+ apps" true (sharers "gps" >= 3);
+      System.shutdown sys)
+
+(* Observer allocation, bounded. A fixed 10 s machine (CPU + GPU + WiFi,
+   a capped render loop next to a CPU duty cycle) runs bare and with the
+   audit and a budget cap riding it; the difference in minor words per
+   event is what the observers cost. Settling joules is meant to allocate
+   nothing, so the bound sits about 25% over the measured cost (see the
+   change log): a regression that boxes a float or builds a list per
+   settle shows up as whole words per event. The counts are deterministic,
+   and a warm-up second keeps the event pool's growth out of them. *)
+let observer_words_bound = 4.4
+
+let words_per_event ~observers =
+  Tm.with_fresh_store (fun () ->
+      Psbox_kernel.Task.reset_ids ();
+      Psbox_kernel.Entity.reset_ids ();
+      let sys = System.create ~seed:5 ~cores:2 ~gpu:true ~wifi:true () in
+      if observers then ignore (Audit.attach sys : Audit.t);
+      let render = System.new_app sys ~name:"render" in
+      let duty = System.new_app sys ~name:"duty" in
+      ignore
+        (W.spawn sys ~app:render ~name:"frame"
+           (W.forever (fun () ->
+                [
+                  W.Compute (Time.us 1200);
+                  W.Gpu_batch [ W.spec ~kind:"frame" ~work_s:0.002 () ];
+                  W.Send { socket = 1; bytes = 8_000 };
+                ])));
+      ignore
+        (W.spawn sys ~app:duty ~name:"duty" ~core:1
+           (W.forever (fun () -> [ W.Compute (Time.ms 3); W.Sleep (Time.ms 7) ])));
+      System.start sys;
+      let ctl =
+        if observers then begin
+          let ctl = Budget.create sys () in
+          Budget.set_cap ctl ~app:render.System.app_id ~watts:1.1;
+          Some ctl
+        end
+        else None
+      in
+      System.run_for sys (Time.sec 1);
+      let fired () = Option.value (Tm.find "sim.events_fired") ~default:0.0 in
+      let e0 = fired () in
+      let w0 = Gc.minor_words () in
+      System.run_for sys (Time.sec 10);
+      let w1 = Gc.minor_words () in
+      let events = fired () -. e0 in
+      Option.iter Budget.stop ctl;
+      System.shutdown sys;
+      (w1 -. w0) /. events)
+
+let test_observer_allocation_bounded () =
+  let bare = words_per_event ~observers:false in
+  let observed = words_per_event ~observers:true in
+  Alcotest.(check bool)
+    (Printf.sprintf "observers cost %.2f words/event, bound %.2f"
+       (observed -. bare) observer_words_bound)
+    true
+    (observed -. bare <= observer_words_bound)
+
 let suite =
   [
     Alcotest.test_case "random workloads: per-rail bit-exact conservation"
@@ -237,4 +384,8 @@ let suite =
     Alcotest.test_case "balloon blame insulation + stay_blame" `Quick
       test_balloon_blame_insulation;
     Alcotest.test_case "audit is a pure observer" `Quick test_pure_observer;
+    Alcotest.test_case "shared rails bill in the reference order" `Quick
+      test_order_matches_reference;
+    Alcotest.test_case "observer allocation per event is bounded" `Quick
+      test_observer_allocation_bounded;
   ]

@@ -259,6 +259,58 @@ let test_live_cpu_attribution_total () =
   Split.live_detach lv;
   System.shutdown sys
 
+(* Violations are counted online, without the history: for any warm-up
+   they equal the count a reader of the armed history gets (ticks past the
+   warm-up whose windowed mean overshot the cap by more than 5%). The
+   history itself records nothing until armed. *)
+let test_violations_online () =
+  let sys =
+    System.create ~cores:2 ~cpu_governor:Psbox_hw.Dvfs.Performance ()
+  in
+  let a = System.new_app sys ~name:"a" in
+  let b = System.new_app sys ~name:"b" in
+  spin sys a;
+  spin sys b;
+  System.start sys;
+  let ctl = Budget.create sys () in
+  (match Budget.history ctl ~app:a.System.app_id with
+  | _ -> Alcotest.fail "unarmed history read"
+  | exception Invalid_argument msg ->
+      check_bool "names the arming call" true
+        (Test_misc.contains msg "Budget.record_history"));
+  Budget.record_history ctl;
+  Budget.set_cap ctl ~app:a.System.app_id ~watts:0.9;
+  System.run_for sys (Time.ms 1500);
+  (* relax, then squeeze again: overshoots both early and late *)
+  Budget.set_cap ctl ~app:a.System.app_id ~watts:3.0;
+  System.run_for sys (Time.ms 500);
+  Budget.set_cap ctl ~app:a.System.app_id ~watts:0.6;
+  System.run_for sys (Time.ms 1000);
+  let hist = Budget.history ctl ~app:a.System.app_id in
+  let from_history warmup =
+    List.filteri
+      (fun i (_, meas, cap) ->
+        i >= warmup && Float.is_finite cap && meas > cap *. 1.05)
+      hist
+    |> List.length
+  in
+  List.iter
+    (fun warmup ->
+      let v, ticks = Budget.violations ctl ~app:a.System.app_id ~warmup in
+      check_int "ticks" (List.length hist) ticks;
+      check_int (Printf.sprintf "violations past %d ticks" warmup)
+        (from_history warmup) v)
+    [ 0; 1; 2; 8; 30; 62 ];
+  check_bool "early and late overshoots" true
+    (from_history 0 > from_history 8 && from_history 40 > 0);
+  check_bool "unbudgeted app" true
+    (Budget.violations ctl ~app:b.System.app_id ~warmup:8 = (0, 0));
+  (match Budget.violations ctl ~app:a.System.app_id ~warmup:63 with
+  | _ -> Alcotest.fail "warmup past the remembered ticks"
+  | exception Invalid_argument _ -> ());
+  Budget.stop ctl;
+  System.shutdown sys
+
 let suite =
   [
     Alcotest.test_case "quota caps a solo app" `Quick test_quota_caps_solo_app;
@@ -275,4 +327,6 @@ let suite =
       test_admission_ordering;
     Alcotest.test_case "live_cpu attributes the full rail" `Quick
       test_live_cpu_attribution_total;
+    Alcotest.test_case "violations counted online match the history" `Quick
+      test_violations_online;
   ]

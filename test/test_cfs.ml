@@ -12,8 +12,8 @@ let test_enqueue_pick_order () =
   let rq = Cfs.create ~core:0 in
   let e1 = Entity.of_task (task "a") in
   let e2 = Entity.of_task (task "b") in
-  e1.Entity.vruntime <- 100.0;
-  e2.Entity.vruntime <- 50.0;
+  e1.Entity.vruntime.ns <- 100.0;
+  e2.Entity.vruntime.ns <- 50.0;
   Cfs.enqueue rq e1;
   Cfs.enqueue rq e2;
   check_int "leftmost is min vruntime" e2.Entity.eid
@@ -39,8 +39,8 @@ let test_charge_advances_vruntime () =
   Cfs.set_curr rq (Some e);
   Cfs.charge rq e 1_000_000;
   check_float "vruntime advanced by wall time at nice0" 1_000_000.0
-    e.Entity.vruntime;
-  check_float "task mirror" 1_000_000.0 t.Task.vruntime
+    e.Entity.vruntime.ns;
+  check_float "task mirror" 1_000_000.0 t.Task.vruntime.ns
 
 let test_charge_weighted () =
   let rq = Cfs.create ~core:0 in
@@ -48,18 +48,18 @@ let test_charge_weighted () =
   let e = Entity.of_task t in
   Cfs.set_curr rq (Some e);
   Cfs.charge rq e 1_000_000;
-  check_float "half rate for double weight" 500_000.0 e.Entity.vruntime
+  check_float "half rate for double weight" 500_000.0 e.Entity.vruntime.ns
 
 let test_min_vruntime_monotonic () =
   let rq = Cfs.create ~core:0 in
   let e = Entity.of_task (task "a") in
-  e.Entity.vruntime <- 500.0;
+  e.Entity.vruntime.ns <- 500.0;
   Cfs.enqueue rq e;
   Cfs.update_min_vruntime rq;
   let m1 = Cfs.min_vruntime rq in
   Cfs.dequeue rq e;
   let e2 = Entity.of_task (task "b") in
-  e2.Entity.vruntime <- 100.0;
+  e2.Entity.vruntime.ns <- 100.0;
   Cfs.enqueue rq e2;
   Cfs.update_min_vruntime rq;
   check_bool "never decreases" true (Cfs.min_vruntime rq >= m1)
@@ -67,28 +67,28 @@ let test_min_vruntime_monotonic () =
 let test_place_new_and_woken () =
   let rq = Cfs.create ~core:0 in
   let e0 = Entity.of_task (task "runner") in
-  e0.Entity.vruntime <- 10_000_000.0;
+  e0.Entity.vruntime.ns <- 10_000_000.0;
   Cfs.enqueue rq e0;
   Cfs.update_min_vruntime rq;
   let fresh = Entity.of_task (task "fresh") in
   Cfs.place_new rq fresh;
-  check_bool "fresh gets no bank" true (fresh.Entity.vruntime >= 10_000_000.0);
+  check_bool "fresh gets no bank" true (fresh.Entity.vruntime.ns >= 10_000_000.0);
   let sleeper = Entity.of_task (task "sleeper") in
-  sleeper.Entity.vruntime <- 0.0;
+  sleeper.Entity.vruntime.ns <- 0.0;
   Cfs.place_woken rq sleeper;
   check_bool "woken pulled near min" true
-    (sleeper.Entity.vruntime >= 10_000_000.0 -. 1_000_000.0 -. 1.0);
+    (sleeper.Entity.vruntime.ns >= 10_000_000.0 -. 1_000_000.0 -. 1.0);
   let ahead = Entity.of_task (task "ahead") in
-  ahead.Entity.vruntime <- 99_000_000.0;
+  ahead.Entity.vruntime.ns <- 99_000_000.0;
   Cfs.place_woken rq ahead;
-  check_float "debtor keeps debt" 99_000_000.0 ahead.Entity.vruntime
+  check_float "debtor keeps debt" 99_000_000.0 ahead.Entity.vruntime.ns
 
 let test_group_entity_pick () =
   let ge = Entity.group ~psbox_id:7 ~core:0 () in
   let g = match ge.Entity.kind with Entity.EGroup g -> g | _ -> assert false in
   let t1 = task "t1" and t2 = task "t2" in
-  t1.Task.vruntime <- 10.0;
-  t2.Task.vruntime <- 5.0;
+  t1.Task.vruntime.ns <- 10.0;
+  t2.Task.vruntime.ns <- 5.0;
   g.Entity.gtasks <- [ t1; t2 ];
   check_int "picks min-vruntime member" t2.Task.tid
     (Option.get (Entity.group_pick g)).Task.tid;
@@ -110,11 +110,11 @@ let test_entity_app_of () =
 let test_requeue_after_vruntime_change () =
   let rq = Cfs.create ~core:0 in
   let e1 = Entity.of_task (task "a") and e2 = Entity.of_task (task "b") in
-  e1.Entity.vruntime <- 10.0;
-  e2.Entity.vruntime <- 20.0;
+  e1.Entity.vruntime.ns <- 10.0;
+  e2.Entity.vruntime.ns <- 20.0;
   Cfs.enqueue rq e1;
   Cfs.enqueue rq e2;
-  e1.Entity.vruntime <- 30.0;
+  e1.Entity.vruntime.ns <- 30.0;
   Cfs.requeue rq e1;
   check_int "order follows new vruntime" e2.Entity.eid
     (Option.get (Cfs.leftmost rq)).Entity.eid;

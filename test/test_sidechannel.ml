@@ -61,9 +61,16 @@ let test_attack_classifies_distinct_signals () =
       ("fast", sine ~freq:0.7 ~n:500) ]
   in
   let model = Attack.train training ~downsample:2 () in
-  Alcotest.(check string) "slow" "slow" (Attack.classify model (sine ~freq:0.06 ~n:480));
-  Alcotest.(check string) "mid" "mid" (Attack.classify model (sine ~freq:0.22 ~n:520));
-  Alcotest.(check string) "fast" "fast" (Attack.classify model (sine ~freq:0.65 ~n:500));
+  (* one labelled trace at a time: the rate is 1 iff it is classified
+     under its own label *)
+  List.iter
+    (fun (label, trace) ->
+      check_float 0.0 label 1.0 (Attack.success_rate model [ (label, trace) ]))
+    [
+      ("slow", sine ~freq:0.06 ~n:480);
+      ("mid", sine ~freq:0.22 ~n:520);
+      ("fast", sine ~freq:0.65 ~n:500);
+    ];
   check_float 1e-9 "success on near-copies" 1.0
     (Attack.success_rate model
        [ ("slow", sine ~freq:0.05 ~n:510); ("fast", sine ~freq:0.72 ~n:490) ])
