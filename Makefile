@@ -63,8 +63,8 @@ health-smoke:
 	@echo "health-smoke: drift fired, model hot-swapped, post-swap MAPE < 5%, log byte-stable"
 
 # Fail on any `val` in lib/**/*.mli that nothing outside its own module
-# names (no allowlist: delete the export, or use it). Also lists, without
-# failing, the exports that only test/ names, with their count.
+# names (no allowlist: delete the export, or use it), or when the count of
+# exports that only test/ names rises above the script's ceiling.
 unused-exports:
 	bash tools/unused_exports.sh
 

@@ -104,8 +104,6 @@ let windowed_by_count ?(window = Time.ms 100) tl usages ~from ~until =
   done;
   List.sort compare !acc
 
-let total_attributed result = List.fold_left (fun a (_, e) -> a +. e) 0.0 result
-
 (* ------------------------------------------------------------------ *)
 (* Online usage-proportional splitting, fed by the power bus.
 
@@ -114,8 +112,8 @@ let total_attributed result = List.fold_left (fun a (_, e) -> a +. e) 0.0 result
    per query. The live splitter keeps only the current power level and the
    current share table, and settles [w * share/total * dt] into per-app
    accumulators at every boundary (a power transition announced on the bus,
-   or a share change reported by the scheduler/driver). Same arithmetic,
-   same segment boundaries, O(apps) per event and O(1) state. *)
+   or a share change on the device's feed). Same arithmetic, same segment
+   boundaries, O(apps) per event and O(1) state. *)
 
 type live = {
   lw : lw;
@@ -123,9 +121,8 @@ type live = {
   shares : Share_table.t;
   mutable acc : float array; (* app -> joules attributed *)
   mutable seen : Bytes.t; (* app -> '\001' once it has an [acc] entry *)
-  mutable lsub : Psbox_engine.Bus.subscription option;
-  mutable ssub : Psbox_engine.Bus.subscription option;
-      (* share-bus feed, when wired by a live_* constructor *)
+  mutable lsub : Psbox_engine.Bus.subscription option; (* rail transitions *)
+  mutable ssub : Psbox_engine.Bus.subscription option; (* share changes *)
 }
 
 (* The rail's draw since the last transition. An all-float record is
@@ -164,10 +161,16 @@ let live_settle lv ~at =
   else if dt = 0.0 then ()
   else invalid_arg "Split.live: time went backwards"
 
-let live rail ~from =
+let set_share lv ~at ~app share =
+  if share < 0.0 then invalid_arg "Split.live: negative share";
+  live_settle lv ~at;
+  if share > 1e-9 then Share_table.set lv.shares ~app share
+  else Share_table.remove lv.shares ~app
+
+let live (f : Psbox_kernel.System.feed) ~from =
   let lv =
     {
-      lw = { cur_w = Psbox_hw.Power_rail.power rail };
+      lw = { cur_w = Psbox_hw.Power_rail.power f.rail };
       last_t = from;
       shares = Share_table.create ();
       acc = [||];
@@ -179,18 +182,17 @@ let live rail ~from =
   lv.lsub <-
     Some
       (Psbox_engine.Bus.subscribe
-         (Psbox_hw.Power_rail.transitions rail)
+         (Psbox_hw.Power_rail.transitions f.rail)
          (fun tr ->
            let open Psbox_hw.Power_rail in
            live_settle lv ~at:tr.at;
            lv.lw.cur_w <- tr.after_w));
+  List.iter (fun (app, share) -> set_share lv ~at:from ~app share) (f.current ());
+  lv.ssub <-
+    Some
+      (Psbox_engine.Bus.subscribe f.changes (fun (c : Share_table.change) ->
+           set_share lv ~at:c.at ~app:c.app c.share));
   lv
-
-let live_set_share lv ~at ~app share =
-  if share < 0.0 then invalid_arg "Split.live_set_share: negative share";
-  live_settle lv ~at;
-  if share > 1e-9 then Share_table.set lv.shares ~app share
-  else Share_table.remove lv.shares ~app
 
 let live_read lv ~until =
   live_settle lv ~at:until;
@@ -200,58 +202,19 @@ let live_read lv ~until =
   done;
   !r
 
+(* The same additions as summing [live_read]'s entry for [app] over [lvs],
+   in list order, without building the lists. *)
+let app_j lvs ~until ~app =
+  List.fold_left
+    (fun acc lv ->
+      live_settle lv ~at:until;
+      if app < Bytes.length lv.seen && Bytes.get lv.seen app = '\001' then
+        acc +. lv.acc.(app)
+      else acc)
+    0.0 lvs
+
 let live_detach lv =
-  (match lv.lsub with
-  | Some s ->
-      Psbox_engine.Bus.unsubscribe s;
-      lv.lsub <- None
-  | None -> ());
-  match lv.ssub with
-  | Some s ->
-      Psbox_engine.Bus.unsubscribe s;
-      lv.ssub <- None
-  | None -> ()
-
-(* ------------------------------------------------------------------ *)
-(* Auto-wired live splitters: the scheduler and device drivers publish
-   their own share changes, so nobody has to call [live_set_share] by
-   hand. *)
-
-let live_cpu smp ~from =
-  let module Smp = Psbox_kernel.Smp in
-  let lv = live (Psbox_hw.Cpu.rail (Smp.cpu smp)) ~from in
-  (* seed with whoever is on-core right now; later changes stream in *)
-  let counts = Hashtbl.create 4 in
-  for core = 0 to Smp.cores smp - 1 do
-    match Smp.running_app smp ~core with
-    | Some app ->
-        let c = match Hashtbl.find_opt counts app with Some c -> c | None -> 0 in
-        Hashtbl.replace counts app (c + 1)
-    | None -> ()
-  done;
-  Hashtbl.iter
-    (fun app c -> live_set_share lv ~at:from ~app (float_of_int c))
-    counts;
-  lv.ssub <-
-    Some
-      (Psbox_engine.Bus.subscribe (Smp.share_bus smp) (fun c ->
-           live_set_share lv ~at:c.Smp.at ~app:c.Smp.app c.Smp.share));
-  lv
-
-let live_accel d ~from =
-  let module Ad = Psbox_kernel.Accel_driver in
-  let lv = live (Psbox_hw.Accel.rail (Ad.device d)) ~from in
-  lv.ssub <-
-    Some
-      (Psbox_engine.Bus.subscribe (Ad.share_bus d) (fun c ->
-           live_set_share lv ~at:c.Ad.at ~app:c.Ad.app c.Ad.share));
-  lv
-
-let live_net n ~from =
-  let module Ns = Psbox_kernel.Net_sched in
-  let lv = live (Psbox_hw.Wifi.rail (Ns.nic n)) ~from in
-  lv.ssub <-
-    Some
-      (Psbox_engine.Bus.subscribe (Ns.share_bus n) (fun c ->
-           live_set_share lv ~at:c.Ns.at ~app:c.Ns.app c.Ns.share));
-  lv
+  Option.iter Psbox_engine.Bus.unsubscribe lv.lsub;
+  lv.lsub <- None;
+  Option.iter Psbox_engine.Bus.unsubscribe lv.ssub;
+  lv.ssub <- None

@@ -66,54 +66,34 @@ val windowed_by_count :
     how activity-count models over-charge chatty apps whose co-runners
     drive the device into hot states. *)
 
-val total_attributed : result -> float
-
 (** {1 Online splitting}
 
     The live splitter is the bus-era counterpart of {!usage_split}: it
-    subscribes to a rail's power transitions and settles
+    subscribes to a shared device's rail and share feed
+    ({!Psbox_kernel.System.feed}) and settles
     [power * share / total_share * dt] into per-app accumulators at every
-    boundary, so a query is O(apps) instead of a walk over the full usage
-    trace and rail history. Share changes are pushed by whoever multiplexes
-    the device (scheduler, driver) via {!live_set_share}. Over the same
-    window and share trace it attributes exactly what {!usage_split}
-    computes offline. *)
+    power transition and share change, so a query is O(apps) instead of a
+    walk over the full usage trace and rail history. Over the same window
+    and share trace it attributes exactly what {!usage_split} computes
+    offline. *)
 
 type live
 
-val live : Psbox_hw.Power_rail.t -> from:Psbox_engine.Time.t -> live
-(** Start splitting [rail]'s energy at time [from] (no app is active until
-    shares are reported). *)
-
-val live_set_share : live -> at:Psbox_engine.Time.t -> app:int -> float -> unit
-(** Report that [app]'s usage share of the device is [share] from [at]
-    onwards; 0 removes the app. Events must be fed in time order.
-    @raise Invalid_argument on negative share or time going backwards. *)
+val live : Psbox_kernel.System.feed -> from:Psbox_engine.Time.t -> live
+(** Start splitting the feed's rail at time [from]: seed the shares from
+    the feed's [current] (so a splitter attached mid-run starts with
+    whoever holds the device, running cores or commands and frames in
+    flight), then follow its [changes], which must come in time order.
+    @raise Invalid_argument from a change with a negative share or one
+    earlier than the last settled instant. *)
 
 val live_read : live -> until:Psbox_engine.Time.t -> result
 (** Per-app energy attributed from [from] up to [until], sorted by app. *)
 
+val app_j : live list -> until:Psbox_engine.Time.t -> app:int -> float
+(** [app]'s energy summed over the splitters, in list order, up to
+    [until]: the same float additions as summing [app]'s {!live_read}
+    entries, without building the lists. *)
+
 val live_detach : live -> unit
-(** Unsubscribe from the rail's bus (and the share bus, for auto-wired
-    splitters); totals stay readable. *)
-
-(** {2 Auto-wired splitters}
-
-    The SMP scheduler and the device drivers publish their own share
-    changes on per-subsystem buses, so live attribution needs no manual
-    {!live_set_share} pushes: each constructor subscribes to the right
-    share bus and forwards every change. *)
-
-val live_cpu : Psbox_kernel.Smp.t -> from:Psbox_engine.Time.t -> live
-(** Split the CPU rail by running-core counts from
-    {!Psbox_kernel.Smp.share_bus}. Shares are seeded from whatever is
-    on-core at [from], so mid-run attachment starts correct. *)
-
-val live_accel : Psbox_kernel.Accel_driver.t -> from:Psbox_engine.Time.t -> live
-(** Split the accelerator's rail by per-app in-flight command counts from
-    {!Psbox_kernel.Accel_driver.share_bus}. Commands already on the device
-    at [from] are picked up at their next dispatch/completion event. *)
-
-val live_net : Psbox_kernel.Net_sched.t -> from:Psbox_engine.Time.t -> live
-(** Split the NIC's rail by per-app in-flight frame counts from
-    {!Psbox_kernel.Net_sched.share_bus}. *)
+(** Unsubscribe from the rail and the feed; totals stay readable. *)

@@ -1,8 +1,5 @@
 open Psbox_engine
 module System = Psbox_kernel.System
-module Smp = Psbox_kernel.Smp
-module Accel_driver = Psbox_kernel.Accel_driver
-module Net_sched = Psbox_kernel.Net_sched
 module Power_rail = Psbox_hw.Power_rail
 module Dvfs = Psbox_hw.Dvfs
 module Tm = Psbox_telemetry.Metrics
@@ -206,45 +203,13 @@ let attach sys =
         | None -> ());
         rs
       in
-      let cpu = System.cpu sys in
-      let cpu_rs =
-        add (Psbox_hw.Cpu.rail cpu) "cpu" (Some (Psbox_hw.Cpu.dvfs cpu))
-      in
-      ignore
-        (Bus.subscribe (Smp.share_bus (System.smp sys))
-           (fun (c : Smp.share_change) -> set_share cpu_rs c.at c.app c.share));
-      (if System.has_gpu sys then begin
-         let drv = System.gpu sys in
-         let dev = Accel_driver.device drv in
-         let rs =
-           add (Psbox_hw.Accel.rail dev) "accel.gpu"
-             (Some (Psbox_hw.Accel.dvfs dev))
-         in
-         ignore
-           (Bus.subscribe (Accel_driver.share_bus drv)
-              (fun (c : Accel_driver.share_change) ->
-                set_share rs c.at c.app c.share))
-       end);
-      (if System.has_dsp sys then begin
-         let drv = System.dsp sys in
-         let dev = Accel_driver.device drv in
-         let rs =
-           add (Psbox_hw.Accel.rail dev) "accel.dsp"
-             (Some (Psbox_hw.Accel.dvfs dev))
-         in
-         ignore
-           (Bus.subscribe (Accel_driver.share_bus drv)
-              (fun (c : Accel_driver.share_change) ->
-                set_share rs c.at c.app c.share))
-       end);
-      (if System.has_wifi sys then begin
-         let netd = System.net sys in
-         let rs = add (Psbox_hw.Wifi.rail (Net_sched.nic netd)) "net" None in
-         ignore
-           (Bus.subscribe (Net_sched.share_bus netd)
-              (fun (c : Net_sched.share_change) ->
-                set_share rs c.at c.app c.share))
-       end);
+      List.iter
+        (fun (f : System.feed) ->
+          let rs = add f.rail f.subsystem f.dvfs in
+          ignore
+            (Bus.subscribe f.changes (fun (c : Share_table.change) ->
+                 set_share rs c.at c.app c.share)))
+        (System.feeds sys);
       if System.has_display sys then
         ignore (add (Psbox_hw.Display.rail (System.display sys)) "display" None);
       if System.has_gps sys then

@@ -59,7 +59,7 @@ type t = {
   hysteresis : float;
   dvfs_bias : bool;
   entries : (int, entry) Hashtbl.t;
-  splitters : Split.live list; (* one per actuated rail, auto-wired *)
+  splitters : Split.live list; (* one per System.feeds entry *)
   epoch : Time.t; (* anchor of the control-period grid (creation time) *)
   mutable tick : Sim.handle; (* armed control tick; Sim.none while idle *)
   mutable stopped : bool;
@@ -82,16 +82,9 @@ let now ctl = Sim.now (sim ctl)
 
 (* ------------------------------------------------------------------ *)
 (* Measurement: per-app attributed draw, summed over the machine's
-   actuated rails via the auto-wired live splitters.                    *)
+   shared devices' rails, one live splitter per feed.                   *)
 
-let app_total_j ctl ~app =
-  let until = now ctl in
-  List.fold_left
-    (fun acc lv ->
-      match List.assoc_opt app (Split.live_read lv ~until) with
-      | Some j -> acc +. j
-      | None -> acc)
-    0.0 ctl.splitters
+let app_total_j ctl ~app = Split.app_j ctl.splitters ~until:(now ctl) ~app
 
 let windowed_mean_w ctl e =
   let n = e.e_ring_n in
@@ -277,16 +270,7 @@ let create sys ?(period = Time.ms 50) ?(window_periods = 4)
     invalid_arg "Budget.create: window_periods must be positive";
   if hysteresis < 0.0 then invalid_arg "Budget.create: negative hysteresis";
   let from = Sim.now (System.sim sys) in
-  let splitters =
-    [ Split.live_cpu (System.smp sys) ~from ]
-    @ (if System.has_gpu sys then [ Split.live_accel (System.gpu sys) ~from ]
-       else [])
-    @ (if System.has_dsp sys then [ Split.live_accel (System.dsp sys) ~from ]
-       else [])
-    @
-    if System.has_wifi sys then [ Split.live_net (System.net sys) ~from ]
-    else []
-  in
+  let splitters = List.map (fun f -> Split.live f ~from) (System.feeds sys) in
   let ctl =
     {
       sys;

@@ -2,8 +2,8 @@
 
     The paper's sandboxed accounting makes per-app draw a trustworthy
     signal; this module closes the loop on it. A controller subscribes to
-    the machine's attributed power — via the auto-wired
-    {!Psbox_accounting.Split.live_cpu}/[live_accel]/[live_net] splitters —
+    the machine's attributed power — one {!Psbox_accounting.Split.live}
+    splitter per {!Psbox_kernel.System.feeds} entry —
     and enforces per-app {e caps} (watts) or {e envelopes} (joules over a
     horizon) by actuating every subsystem the app draws through:
 

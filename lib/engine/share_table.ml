@@ -1,3 +1,5 @@
+type change = { at : Time.t; app : int; share : float }
+
 type t = {
   mutable share : float array;
   mutable apps : int array;

@@ -27,6 +27,11 @@ type t = {
 
 val create : unit -> t
 
+type change = { at : Time.t; app : int; share : float }
+(** [app]'s share of a device is [share] from [at] on; 0 means it holds
+    none. What a share counts is the publisher's: running cores for the
+    scheduler, commands or frames in flight for the device drivers. *)
+
 val set : t -> app:int -> float -> unit
 (** Give [app] a share (the caller decides what counts as one). An app that
     held none joins the visit order; one that did keeps its place.

@@ -263,6 +263,11 @@ let in_flight_of dev ~app =
   List.length (List.filter (fun c -> c.app = app) dev.waiting)
   + List.length (List.filter (fun r -> r.cmd.app = app) dev.running)
 
+let in_flight_apps dev =
+  List.sort_uniq compare
+    (List.map (fun c -> c.app) dev.waiting
+    @ List.map (fun r -> r.cmd.app) dev.running)
+
 let busy_units dev = dev.busy_units_now
 
 let busy_unit_seconds dev =

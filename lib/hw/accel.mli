@@ -68,6 +68,9 @@ val in_flight : t -> int
 
 val in_flight_of : t -> app:int -> int
 
+val in_flight_apps : t -> int list
+(** Apps with a command in flight, by ascending id. *)
+
 val busy_units : t -> int
 
 val busy_unit_seconds : t -> float

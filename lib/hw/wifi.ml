@@ -230,6 +230,11 @@ let in_flight_of nic ~app =
   List.length (List.filter (fun p -> p.app = app) nic.queue)
   + match nic.on_air with Some p when p.app = app -> 1 | Some _ | None -> 0
 
+let in_flight_apps nic =
+  List.sort_uniq compare
+    (List.map (fun p -> p.app) nic.queue
+    @ match nic.on_air with Some p -> [ p.app ] | None -> [])
+
 let airtime_seconds nic =
   let extra =
     match nic.on_air with

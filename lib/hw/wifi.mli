@@ -92,6 +92,9 @@ val in_flight : t -> int
 
 val in_flight_of : t -> app:int -> int
 
+val in_flight_apps : t -> int list
+(** Apps with a frame in flight, by ascending id. *)
+
 val airtime_seconds : t -> float
 (** Cumulative on-air seconds since simulation start. *)
 

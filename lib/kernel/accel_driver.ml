@@ -13,8 +13,6 @@ type pending = {
   p_enqueued : Time.t;
 }
 
-type share_change = { at : Time.t; app : int; share : float }
-
 (* Leaky-bucket rate gate: [g_next] is the earliest instant the app may
    dispatch again; each dispatch pushes it out by cost/rate. *)
 type gate = { mutable g_rate : float; mutable g_next : Time.t }
@@ -47,7 +45,7 @@ type t = {
   mutable blocked_submitters : (unit -> unit) list;
       (* SGX-style [Lock_requests] stacks: submissions that arrived while a
          foreign balloon held the queue, to be accepted at flush-others *)
-  share_bus : share_change Bus.t;
+  share_bus : Share_table.change Bus.t;
   gates : (int, gate) Hashtbl.t;
   mutable gate_pump : Sim.handle; (* armed wakeup, Sim.none when idle *)
   mutable gate_at : Time.t; (* instant gate_pump is aimed at *)
@@ -142,7 +140,7 @@ let pick_app d =
 let publish_share d app =
   Bus.publish d.share_bus
     {
-      at = Sim.now d.sim;
+      Share_table.at = Sim.now d.sim;
       app;
       share = float_of_int (Accel.in_flight_of d.dev ~app);
     }

@@ -13,8 +13,6 @@ type pending = {
   p_enqueued : Time.t;
 }
 
-type share_change = { at : Time.t; app : int; share : float }
-
 (* Leaky-bucket rate gate in bytes/s: [g_next] is the earliest instant the
    app may put another frame on the air. *)
 type gate = { mutable g_rate : float; mutable g_next : Time.t }
@@ -41,7 +39,7 @@ type t = {
   mutable rx_held : pending list; (* deferred foreign RX, oldest last *)
   latencies : (int * float) Trace.t;
   pkt_log : Wifi.pkt Trace.t; (* completed frames *)
-  share_bus : share_change Bus.t;
+  share_bus : Share_table.change Bus.t;
   gates : (int, gate) Hashtbl.t;
   mutable gate_pump : Sim.handle; (* armed wakeup, Sim.none when idle *)
   mutable gate_at : Time.t; (* instant gate_pump is aimed at *)
@@ -111,7 +109,7 @@ let pick_app d =
 let publish_share d app =
   Bus.publish d.share_bus
     {
-      at = Sim.now d.sim;
+      Share_table.at = Sim.now d.sim;
       app;
       share = float_of_int (Wifi.in_flight_of d.nic ~app);
     }

@@ -66,14 +66,10 @@ val gated_until : t -> app:int -> Psbox_engine.Time.t option
 
 (** {1 Share bus (live attribution)} *)
 
-type share_change = { at : Psbox_engine.Time.t; app : int; share : float }
-(** The app's in-flight frame count at the NIC changed; [share] is the new
-    count. *)
-
-val share_bus : t -> share_change Psbox_engine.Bus.t
-(** Published at every dispatch and TX/RX completion, so
-    {!Psbox_accounting.Split.live_net} can attribute NIC power without
-    manual share pushes. *)
+val share_bus : t -> Psbox_engine.Share_table.change Psbox_engine.Bus.t
+(** An app's in-flight frame count at the NIC changed; [share] is the new
+    count. Published at every dispatch and TX/RX completion;
+    {!System.feeds} carries it to the observers. *)
 
 (** {1 Temporal balloons} *)
 

@@ -87,14 +87,11 @@ val quota : t -> app:int -> float option
 
 (** {1 Share bus (live attribution)} *)
 
-type share_change = { at : Psbox_engine.Time.t; app : int; share : float }
-(** The number of cores currently executing [app] changed; [share] is the
-    new count. Idle and balloon-forced-idle cores count for nobody. *)
-
-val share_bus : t -> share_change Psbox_engine.Bus.t
-(** Published on every running-app transition, synchronously with the
-    scheduling decision — {!Psbox_accounting.Split.live_cpu} subscribes to
-    drive usage-proportional attribution without manual share pushes. *)
+val share_bus : t -> Psbox_engine.Share_table.change Psbox_engine.Bus.t
+(** The number of cores currently executing an app changed; [share] is the
+    new count. Idle and balloon-forced-idle cores count for nobody.
+    Published on every running-app transition, synchronously with the
+    scheduling decision; {!System.feeds} carries it to the observers. *)
 
 (** {1 Spatial balloons (psbox support)} *)
 

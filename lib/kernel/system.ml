@@ -17,6 +17,14 @@ type energy = {
 
 type ledger = { e : energy; mutable at : Time.t }
 
+type feed = {
+  rail : Psbox_hw.Power_rail.t;
+  subsystem : string;
+  dvfs : Psbox_hw.Dvfs.t option;
+  changes : Share_table.change Bus.t;
+  current : unit -> (int * float) list;
+}
+
 let new_ledger w now = { e = { w; j = 0.0 }; at = now }
 
 (* [j += w * (at - t)], then move to [at]: the one accumulation both the
@@ -38,6 +46,7 @@ type t = {
   net : Net_sched.t option;
   display : Psbox_hw.Display.t option;
   gps : Psbox_hw.Gps.t option;
+  feeds : feed list;
   power_bus : Psbox_hw.Power_rail.transition Bus.t;
   ledger : ledger; (* machine-wide: the draw summed over metered rails *)
   rail_ledgers : (string, ledger) Hashtbl.t; (* per physical rail *)
@@ -78,6 +87,68 @@ let dsp_opps =
     { Psbox_hw.Dvfs.freq_mhz = 600; core_w = 0.12; uncore_w = 0.38 };
     { Psbox_hw.Dvfs.freq_mhz = 750; core_w = 0.18; uncore_w = 0.55 };
   |]
+
+(* Each feed's [current] answers from the kernel's own state: the CPU's
+   on-core apps in the order of a walk over a small [Hashtbl] (splitters
+   seed their share tables in this order, and their float sums follow it),
+   a device's in-flight counts by app id. *)
+let cpu_feed cpu smp =
+  let current () =
+    let counts = Hashtbl.create 4 in
+    for core = 0 to Smp.cores smp - 1 do
+      match Smp.running_app smp ~core with
+      | Some app ->
+          let c = match Hashtbl.find_opt counts app with Some c -> c | None -> 0 in
+          Hashtbl.replace counts app (c + 1)
+      | None -> ()
+    done;
+    List.rev
+      (Hashtbl.fold (fun app c acc -> (app, float_of_int c) :: acc) counts [])
+  in
+  {
+    rail = Psbox_hw.Cpu.rail cpu;
+    subsystem = "cpu";
+    dvfs = Some (Psbox_hw.Cpu.dvfs cpu);
+    changes = Smp.share_bus smp;
+    current;
+  }
+
+let in_flight apps count =
+  List.map (fun app -> (app, float_of_int (count ~app))) apps
+
+let accel_feed subsystem drv =
+  let dev = Accel_driver.device drv in
+  {
+    rail = Psbox_hw.Accel.rail dev;
+    subsystem;
+    dvfs = Some (Psbox_hw.Accel.dvfs dev);
+    changes = Accel_driver.share_bus drv;
+    current =
+      (fun () ->
+        in_flight
+          (Psbox_hw.Accel.in_flight_apps dev)
+          (Psbox_hw.Accel.in_flight_of dev));
+  }
+
+let net_feed n =
+  let nic = Net_sched.nic n in
+  {
+    rail = Psbox_hw.Wifi.rail nic;
+    subsystem = "net";
+    dvfs = None;
+    changes = Net_sched.share_bus n;
+    current =
+      (fun () ->
+        in_flight
+          (Psbox_hw.Wifi.in_flight_apps nic)
+          (Psbox_hw.Wifi.in_flight_of nic));
+  }
+
+(* Every metered rail: the shared devices', then the display's and GPS's. *)
+let feed_rails feeds display gps =
+  List.map (fun f -> f.rail) feeds
+  @ Option.to_list (Option.map Psbox_hw.Display.rail display)
+  @ Option.to_list (Option.map Psbox_hw.Gps.rail gps)
 
 let create ?(seed = 42) ?(cores = 2)
     ?(cpu_governor =
@@ -138,22 +209,16 @@ let create ?(seed = 42) ?(cores = 2)
     if display then Some (Psbox_hw.Display.create sim ?retention ()) else None
   in
   let gps = if gps then Some (Psbox_hw.Gps.create sim ?retention ()) else None in
+  (* The one list of shared devices, and the rails it draws from. *)
+  let feeds =
+    cpu_feed cpu smp
+    :: (Option.to_list (Option.map (accel_feed "accel.gpu") gpu)
+       @ Option.to_list (Option.map (accel_feed "accel.dsp") dsp)
+       @ Option.to_list (Option.map net_feed net))
+  in
+  let rails = feed_rails feeds display gps in
   (* Composition root for the power bus: every metered rail forwards its
      transitions onto one machine-wide bus, and the energy ledger rides it. *)
-  let rails =
-    [ Psbox_hw.Cpu.rail cpu ]
-    @ (match gpu with
-      | Some g -> [ Psbox_hw.Accel.rail (Accel_driver.device g) ]
-      | None -> [])
-    @ (match dsp with
-      | Some d -> [ Psbox_hw.Accel.rail (Accel_driver.device d) ]
-      | None -> [])
-    @ (match net with
-      | Some n -> [ Psbox_hw.Wifi.rail (Net_sched.nic n) ]
-      | None -> [])
-    @ (match display with Some d -> [ Psbox_hw.Display.rail d ] | None -> [])
-    @ (match gps with Some g -> [ Psbox_hw.Gps.rail g ] | None -> [])
-  in
   let power_bus = Bus.create () in
   let forward r =
     ignore
@@ -200,7 +265,7 @@ let create ?(seed = 42) ?(cores = 2)
   incr uid_ref;
   let sys =
     {
-      sim; rng; uid = !uid_ref; cpu; smp; gpu; dsp; net; display; gps;
+      sim; rng; uid = !uid_ref; cpu; smp; gpu; dsp; net; display; gps; feeds;
       power_bus; ledger; rail_ledgers; apps = []; next_app = 1; started = false;
     }
   in
@@ -244,21 +309,8 @@ let has_wifi sys = sys.net <> None
 let has_display sys = sys.display <> None
 let has_gps sys = sys.gps <> None
 
-let rails sys =
-  [ Psbox_hw.Cpu.rail sys.cpu ]
-  @ (match sys.gpu with
-    | Some g -> [ Psbox_hw.Accel.rail (Accel_driver.device g) ]
-    | None -> [])
-  @ (match sys.dsp with
-    | Some d -> [ Psbox_hw.Accel.rail (Accel_driver.device d) ]
-    | None -> [])
-  @ (match sys.net with
-    | Some n -> [ Psbox_hw.Wifi.rail (Net_sched.nic n) ]
-    | None -> [])
-  @ (match sys.display with
-    | Some d -> [ Psbox_hw.Display.rail d ]
-    | None -> [])
-  @ match sys.gps with Some g -> [ Psbox_hw.Gps.rail g ] | None -> []
+let feeds sys = sys.feeds
+let rails sys = feed_rails sys.feeds sys.display sys.gps
 
 let new_app sys ~name =
   let app = { app_id = sys.next_app; app_name = name; counters = Hashtbl.create 8 } in

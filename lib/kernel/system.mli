@@ -81,7 +81,33 @@ val has_display : t -> bool
 val has_gps : t -> bool
 
 val rails : t -> Psbox_hw.Power_rail.t list
-(** All metered rails (CPU first, then GPU/DSP/WiFi as present). *)
+(** All metered rails: the {!feeds}' rails, then display and GPS as
+    present. *)
+
+(** {1 Share feeds}
+
+    Who is using each shared device, for the observers that split its
+    rail's power among apps (the live splitters, the joule audit). *)
+
+type feed = {
+  rail : Psbox_hw.Power_rail.t;  (** the device's power rail *)
+  subsystem : string;
+      (** the audit label: ["cpu"], ["accel.gpu"], ["accel.dsp"] or ["net"] *)
+  dvfs : Psbox_hw.Dvfs.t option;  (** the device's governor, if it has one *)
+  changes : Psbox_engine.Share_table.change Psbox_engine.Bus.t;
+      (** every later change of an app's share, from the device's kernel
+          subsystem ({!Smp.share_bus}, {!Accel_driver.share_bus},
+          {!Net_sched.share_bus}) *)
+  current : unit -> (int * float) list;
+      (** the shares in force now, for a subscriber joining mid-run:
+          running cores per app for the CPU, commands or frames in flight
+          per app for the accelerators and the NIC *)
+}
+
+val feeds : t -> feed list
+(** One feed per shared device, built once at {!create}: CPU, then GPU,
+    DSP and WiFi as present. This is the one list of the devices a
+    machine multiplexes. *)
 
 (** {1 Power bus}
 
@@ -116,7 +142,8 @@ val rail_energy_table : t -> (string * float) list
 (** [rail_energy_j] for every physical rail, sorted by rail name. *)
 
 val uid : t -> int
-(** Process-unique id of this machine instance (boot order, from 1). *)
+(** Id of this machine instance, unique among the machines booted in the
+    same domain (boot order, from 1). *)
 
 val on_boot : (t -> unit) -> unit
 (** Register a hook run at the end of every subsequent {!create}, observing

@@ -526,16 +526,7 @@ module Estimator = struct
                 })
         (samplers sys)
     in
-    let splitters =
-      [ Split.live_cpu (System.smp sys) ~from ]
-      @ (if System.has_gpu sys then [ Split.live_accel (System.gpu sys) ~from ]
-         else [])
-      @ (if System.has_dsp sys then [ Split.live_accel (System.dsp sys) ~from ]
-         else [])
-      @
-      if System.has_wifi sys then [ Split.live_net (System.net sys) ~from ]
-      else []
-    in
+    let splitters = List.map (fun f -> Split.live f ~from) (System.feeds sys) in
     let t =
       {
         e_sys = sys;
@@ -608,14 +599,7 @@ module Estimator = struct
       let elapsed = Time.to_sec_f (until - t.e_t0) in
       if elapsed <= 0.0 then None
       else begin
-        let cum =
-          List.fold_left
-            (fun acc lv ->
-              match List.assoc_opt app (Split.live_read lv ~until) with
-              | Some j -> acc +. j
-              | None -> acc)
-            0.0 t.e_splitters
-        in
+        let cum = Split.app_j t.e_splitters ~until ~app in
         let scale = t.e_cum_pred_j /. t.e_cum_ledger_j in
         Some (cum /. elapsed *. scale)
       end

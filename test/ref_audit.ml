@@ -118,14 +118,14 @@ let attach sys =
   let cpu_rs = add (Psbox_hw.Cpu.rail cpu) (Some (Psbox_hw.Cpu.dvfs cpu)) in
   ignore
     (Bus.subscribe (Psbox_kernel.Smp.share_bus (System.smp sys))
-       (fun (c : Psbox_kernel.Smp.share_change) ->
+       (fun (c : Share_table.change) ->
          set_share a cpu_rs c.at c.app c.share));
   let accel drv =
     let module Ad = Psbox_kernel.Accel_driver in
     let dev = Ad.device drv in
     let rs = add (Psbox_hw.Accel.rail dev) (Some (Psbox_hw.Accel.dvfs dev)) in
     ignore
-      (Bus.subscribe (Ad.share_bus drv) (fun (c : Ad.share_change) ->
+      (Bus.subscribe (Ad.share_bus drv) (fun (c : Share_table.change) ->
            set_share a rs c.at c.app c.share))
   in
   if System.has_gpu sys then accel (System.gpu sys);
@@ -135,7 +135,7 @@ let attach sys =
     let n = System.net sys in
     let rs = add (Psbox_hw.Wifi.rail (Ns.nic n)) None in
     ignore
-      (Bus.subscribe (Ns.share_bus n) (fun (c : Ns.share_change) ->
+      (Bus.subscribe (Ns.share_bus n) (fun (c : Share_table.change) ->
            set_share a rs c.at c.app c.share))
   end;
   if System.has_display sys then

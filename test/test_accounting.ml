@@ -8,6 +8,21 @@ let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
 let span app start stop share = { Usage.app; start; stop; share }
+let total_attributed r = List.fold_left (fun a (_, e) -> a +. e) 0.0 r
+
+(* A share feed with no kernel behind it: the test publishes the changes
+   on its bus, as a scheduler or driver would. *)
+let test_feed rail =
+  {
+    Psbox_kernel.System.rail;
+    subsystem = "dev";
+    dvfs = None;
+    changes = Bus.create ();
+    current = (fun () -> []);
+  }
+
+let publish_share (f : Psbox_kernel.System.feed) ~at ~app share =
+  Bus.publish f.changes { Share_table.at; app; share }
 
 let flat_tl w =
   let tl = Timeline.create ~initial:w () in
@@ -39,13 +54,13 @@ let test_usage_split_proportional () =
   let r = Split.usage_split tl usages ~from:0 ~until:(Time.sec 1) in
   check_float 1e-9 "app1 gets 2/3" (10.0 *. 2.0 /. 3.0) (List.assoc 1 r);
   check_float 1e-9 "app2 gets 1/3" (10.0 /. 3.0) (List.assoc 2 r);
-  check_float 1e-9 "conserves busy energy" 10.0 (Split.total_attributed r)
+  check_float 1e-9 "conserves busy energy" 10.0 (total_attributed r)
 
 let test_usage_split_ignores_idle () =
   let tl = flat_tl 10.0 in
   let usages = [ span 1 0 (Time.ms 500) 1.0 ] in
   let r = Split.usage_split tl usages ~from:0 ~until:(Time.sec 1) in
-  check_float 1e-9 "only the busy half attributed" 5.0 (Split.total_attributed r)
+  check_float 1e-9 "only the busy half attributed" 5.0 (total_attributed r)
 
 let test_even_split () =
   let tl = flat_tl 6.0 in
@@ -110,7 +125,7 @@ let prop_attribution_bounded =
       let hi = 3000 in
       let total_rail = Timeline.integrate tl 0 hi in
       let check f =
-        Split.total_attributed (f tl usages ~from:0 ~until:hi)
+        total_attributed (f tl usages ~from:0 ~until:hi)
         <= total_rail +. 1e-9
       in
       check Split.usage_split && check Split.even_split
@@ -123,14 +138,16 @@ let test_live_split_matches_offline () =
      same share changes as they happen. *)
   let sim = Sim.create () in
   let rail = Psbox_hw.Power_rail.create sim ~name:"dev" ~idle_w:1.0 in
-  let lv = Split.live rail ~from:0 in
+  let feed = test_feed rail in
+  let lv = Split.live feed ~from:0 in
   let at t f = ignore (Sim.schedule_at sim t f) in
-  at (Time.sec 1) (fun () -> Split.live_set_share lv ~at:(Sim.now sim) ~app:1 0.5);
+  let share ~app s = publish_share feed ~at:(Sim.now sim) ~app s in
+  at (Time.sec 1) (fun () -> share ~app:1 0.5);
   at (Time.ms 1500) (fun () -> Psbox_hw.Power_rail.set_power rail 3.0);
-  at (Time.sec 2) (fun () -> Split.live_set_share lv ~at:(Sim.now sim) ~app:2 1.0);
+  at (Time.sec 2) (fun () -> share ~app:2 1.0);
   at (Time.ms 2500) (fun () -> Psbox_hw.Power_rail.set_power rail 2.0);
-  at (Time.sec 3) (fun () -> Split.live_set_share lv ~at:(Sim.now sim) ~app:1 0.0);
-  at (Time.sec 4) (fun () -> Split.live_set_share lv ~at:(Sim.now sim) ~app:2 0.0);
+  at (Time.sec 3) (fun () -> share ~app:1 0.0);
+  at (Time.sec 4) (fun () -> share ~app:2 0.0);
   Sim.run_until sim (Time.sec 5);
   let usages =
     [ span 1 (Time.sec 1) (Time.sec 3) 0.5; span 2 (Time.sec 2) (Time.sec 4) 1.0 ]
@@ -148,7 +165,7 @@ let test_live_split_matches_offline () =
     offline online;
   (* the idle [0,1) second is attributed to nobody on both paths *)
   check_bool "idle unattributed" true
-    (Split.total_attributed online
+    (total_attributed online
     < Psbox_hw.Power_rail.energy_j rail ~from:0 ~until:(Time.sec 5) -. 0.5);
   Split.live_detach lv
 
@@ -191,7 +208,8 @@ let prop_live_matches_reference =
     ~count:200 (QCheck.make ~print gen) (fun ops ->
       let sim = Sim.create () in
       let rail = Psbox_hw.Power_rail.create sim ~name:"dev" ~idle_w:0.5 in
-      let lv = Split.live rail ~from:0 in
+      let feed = test_feed rail in
+      let lv = Split.live feed ~from:0 in
       let rf = Ref_split.create rail ~from:0 in
       let same () =
         let until = Sim.now sim in
@@ -212,7 +230,7 @@ let prop_live_matches_reference =
                  let at = Sim.now sim in
                  match op with
                  | `Share (app, s) ->
-                     Split.live_set_share lv ~at ~app s;
+                     publish_share feed ~at ~app s;
                      Ref_split.set_share rf ~at ~app s
                  | `Power w -> Psbox_hw.Power_rail.set_power rail w
                  | `Read -> if not (same ()) then ok := false)))

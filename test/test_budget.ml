@@ -1,6 +1,6 @@
 (* Tests for the power-budget control plane: the CFS quota and driver rate
    gates it actuates, cap convergence and graceful degradation, envelope
-   squeezing, admission ordering, and the auto-wired live splitters it
+   squeezing, admission ordering, and the per-feed live splitters it
    measures through. *)
 open Psbox_engine
 module System = Psbox_kernel.System
@@ -231,33 +231,74 @@ let test_admission_ordering () =
   Budget.stop ctl;
   System.shutdown sys
 
-(* The auto-wired CPU splitter attributes the whole rail while anyone is
-   running -- its total matches the rail's own energy meter. *)
-let test_live_cpu_attribution_total () =
-  let sys =
-    System.create ~cores:2 ~cpu_governor:Psbox_hw.Dvfs.Performance ()
+(* Keep [app]'s commands on [drv]'s device back to back: two chains, each
+   resubmitting on completion. *)
+let accel_chains drv ~app ~work_s =
+  let rec chain () =
+    let cmd = Psbox_hw.Accel.command ~app ~kind:"k" ~work_s () in
+    Accel_driver.submit drv ~app cmd ~on_complete:(fun _ -> chain ())
   in
-  let a = System.new_app sys ~name:"a" in
-  let b = System.new_app sys ~name:"b" in
-  spin sys a;
-  spin sys b;
-  System.start sys;
-  System.run_for sys (Time.ms 100);
-  let from = System.now sys in
-  let lv = Split.live_cpu (System.smp sys) ~from in
-  System.run_for sys (Time.sec 1);
-  let until = System.now sys in
-  let attributed = Split.total_attributed (Split.live_read lv ~until) in
-  let rail = Psbox_hw.Cpu.rail (System.cpu sys) in
-  let metered =
-    Timeline.integrate (Psbox_hw.Power_rail.timeline rail) from until
+  chain ();
+  chain ()
+
+let net_chains n ~app ~bytes =
+  let rec chain () =
+    Psbox_kernel.Net_sched.send n ~app ~socket:1 ~bytes ~on_sent:(fun _ ->
+        chain ())
   in
-  check_bool
-    (Printf.sprintf "full rail attributed (%.3f vs %.3f J)" attributed metered)
-    true
-    (Float.abs (attributed -. metered) /. metered < 0.01);
-  Split.live_detach lv;
-  System.shutdown sys
+  chain ();
+  chain ()
+
+(* Every feed's splitter attributes its whole rail while the device is
+   never idle, attaching mid-run with cores busy and commands and frames
+   in flight: it seeds from the feed's [current] instead of waiting for
+   the next share change. *)
+let test_every_feed_attribution_total () =
+  List.iter
+    (fun (machine, sys) ->
+      List.iter
+        (fun name ->
+          let a = System.new_app sys ~name in
+          let app = a.System.app_id in
+          spin sys a;
+          if System.has_gpu sys then
+            accel_chains (System.gpu sys) ~app ~work_s:0.037;
+          if System.has_dsp sys then
+            accel_chains (System.dsp sys) ~app ~work_s:0.041;
+          if System.has_wifi sys then
+            net_chains (System.net sys) ~app ~bytes:60_000)
+        [ "a"; "b" ];
+      System.start sys;
+      System.run_for sys (Time.ms 117);
+      let from = System.now sys in
+      let feeds = System.feeds sys in
+      List.iter
+        (fun (f : System.feed) ->
+          check_bool
+            (Printf.sprintf "%s %s busy at attach" machine f.subsystem)
+            true
+            (f.current () <> []))
+        feeds;
+      let lvs = List.map (fun f -> Split.live f ~from) feeds in
+      System.run_for sys (Time.sec 1);
+      let until = System.now sys in
+      List.iter2
+        (fun (f : System.feed) lv ->
+          let attributed =
+            List.fold_left (fun a (_, j) -> a +. j) 0.0 (Split.live_read lv ~until)
+          in
+          let metered =
+            Timeline.integrate (Psbox_hw.Power_rail.timeline f.rail) from until
+          in
+          check_bool
+            (Printf.sprintf "%s %s: full rail attributed (%.9f vs %.9f J)"
+               machine f.subsystem attributed metered)
+            true
+            (Float.abs (attributed -. metered) /. metered < 1e-9);
+          Split.live_detach lv)
+        feeds lvs;
+      System.shutdown sys)
+    [ ("am57", System.am57 ()); ("bbb", System.bbb ()) ]
 
 (* Violations are counted online, without the history: for any warm-up
    they equal the count a reader of the armed history gets (ticks past the
@@ -325,8 +366,8 @@ let suite =
       test_envelope_squeezes;
     Alcotest.test_case "admission drains head-first" `Quick
       test_admission_ordering;
-    Alcotest.test_case "live_cpu attributes the full rail" `Quick
-      test_live_cpu_attribution_total;
+    Alcotest.test_case "every feed attributes its full rail" `Quick
+      test_every_feed_attribution_total;
     Alcotest.test_case "violations counted online match the history" `Quick
       test_violations_online;
   ]

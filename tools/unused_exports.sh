@@ -2,13 +2,15 @@
 # Report every `val` declared in lib/**/*.mli that no source file outside
 # its own module (the .ml/.mli pair) names, searching lib/, bin/, test/,
 # perfbench/ and examples/. Exits 1 if there is any; there is no allowlist.
-# Also lists, without failing, every export that only files under test/
-# name, with their count: candidates for a test that drives a public path
-# instead, or for deletion.
+# Also lists every export that only files under test/ name, with their
+# count: candidates for a test that drives a public path instead, or for
+# deletion. That count may fall but never rise: the script also exits 1
+# when it is above TEST_ONLY_CEILING. Lower the ceiling when it falls.
 # Run from anywhere: bash tools/unused_exports.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
 dirs=(lib bin test perfbench examples)
+TEST_ONLY_CEILING=76
 unused=0
 test_only=0
 while IFS= read -r mli; do
@@ -25,6 +27,9 @@ while IFS= read -r mli; do
     fi
   done
 done < <(find lib -name '*.mli' | sort)
-echo "test-only-exports: $test_only"
+echo "test-only-exports: $test_only (ceiling $TEST_ONLY_CEILING)"
 echo "unused-exports: $unused"
-[ "$unused" -eq 0 ]
+if [ "$test_only" -gt "$TEST_ONLY_CEILING" ]; then
+  echo "test-only exports rose above the ceiling of $TEST_ONLY_CEILING" >&2
+fi
+[ "$unused" -eq 0 ] && [ "$test_only" -le "$TEST_ONLY_CEILING" ]
