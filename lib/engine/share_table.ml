@@ -1,4 +1,4 @@
-type change = { at : Time.t; app : int; share : float }
+type change = { mutable at : Time.t; mutable app : int; mutable share : float }
 
 type t = {
   mutable share : float array;

@@ -13,7 +13,10 @@
     table holds more than twice as many bindings. Share totals and the
     counters the audit prints are float sums in this order, and recorded
     reports depend on them to the last bit; the hash-table oracles in
-    [test/ref_split.ml] and [test/ref_audit.ml] check it. *)
+    [test/ref_split.ml] and [test/ref_audit.ml] check it. A table that
+    gives every app the same share is just that visit order over a set of
+    apps: the kernel's drivers and quotas walk their per-app state so, to
+    break ties as the tables they once kept did. *)
 
 type t = {
   mutable share : float array;  (** by app; 0 when the app holds none *)
@@ -27,10 +30,15 @@ type t = {
 
 val create : unit -> t
 
-type change = { at : Time.t; app : int; share : float }
+type change = { mutable at : Time.t; mutable app : int; mutable share : float }
 (** [app]'s share of a device is [share] from [at] on; 0 means it holds
     none. What a share counts is the publisher's: running cores for the
-    scheduler, commands or frames in flight for the device drivers. *)
+    scheduler, commands or frames in flight for the device drivers.
+
+    Each publisher keeps one record and overwrites it for every change, so
+    publishing allocates no record. A record is valid only while it is
+    being delivered: a subscriber copies the fields it needs and never
+    keeps the record itself. *)
 
 val set : t -> app:int -> float -> unit
 (** Give [app] a share (the caller decides what counts as one). An app that

@@ -90,7 +90,7 @@ let set tl t v =
     tl.values.(tl.len) <- v;
     tl.cum.(tl.len) <-
       tl.cum.(tl.len - 1)
-      +. (tl.values.(tl.len - 1) *. Time.to_sec_f (t - last));
+      +. (tl.values.(tl.len - 1) *. (float_of_int (t - last) /. 1e9));
     tl.len <- tl.len + 1;
     match tl.retention with
     | Some r when t - tl.times.(0) > 2 * r -> ignore (compact tl ~before:(t - r))

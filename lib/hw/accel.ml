@@ -36,6 +36,7 @@ type running = {
   mutable remaining_s : float; (* device-seconds at the highest OPP *)
   mutable last_update : Time.t;
   mutable completion : Sim.handle;
+  mutable fire : unit -> unit; (* completes it; built once, reused by re-times *)
 }
 
 type t = {
@@ -48,6 +49,7 @@ type t = {
   mutable factor : float; (* cached speed factor of the current OPP *)
   mutable waiting : command list; (* FIFO, head = oldest *)
   mutable running : running list;
+  mutable per_app : int array; (* commands in flight, by app id *)
   mutable on_complete : command -> unit;
   mutable busy_accum : Time.span;
   mutable busy_units_now : int;
@@ -94,12 +96,17 @@ let update_power dev =
   let w =
     if dev.suspended then dev.suspend_w
     else begin
-      let active =
-        List.fold_left
-          (fun acc r ->
-            acc +. (float_of_int r.cmd.units *. r.cmd.intensity *. opp.Dvfs.core_w))
-          0.0 dev.running
-      in
+      let active = ref 0.0 and rs = ref dev.running in
+      while !rs != [] do
+        match !rs with
+        | r :: rest ->
+            active :=
+              !active
+              +. (float_of_int r.cmd.units *. r.cmd.intensity *. opp.Dvfs.core_w);
+            rs := rest
+        | [] -> ()
+      done;
+      let active = !active in
       Power_rail.idle_w dev.rail
       +. (if dev.running <> [] then opp.Dvfs.uncore_w else 0.0)
       +. active
@@ -111,14 +118,34 @@ let update_power dev =
    factor, without rescheduling. *)
 let sync_progress dev r =
   let now = Sim.now dev.sim in
-  let elapsed = Time.to_sec_f (now - r.last_update) in
+  let elapsed = float_of_int (now - r.last_update) /. 1e9 in
   r.remaining_s <- Float.max 0.0 (r.remaining_s -. (elapsed *. dev.factor));
   r.last_update <- now
 
-let rec complete dev r () =
+let rec sync_all dev = function
+  | [] -> ()
+  | r :: rest ->
+      sync_progress dev r;
+      sync_all dev rest
+
+(* [running] without the command [id], its order kept. *)
+let rec without id = function
+  | [] -> []
+  | r :: rest -> if r.cmd.id = id then rest else r :: without id rest
+
+let count dev app delta =
+  if app >= Array.length dev.per_app then begin
+    let a = Array.make (max (app + 1) (2 * Array.length dev.per_app)) 0 in
+    Array.blit dev.per_app 0 a 0 (Array.length dev.per_app);
+    dev.per_app <- a
+  end;
+  dev.per_app.(app) <- dev.per_app.(app) + delta
+
+let rec complete dev r =
   let now = Sim.now dev.sim in
   accumulate_busy dev;
-  dev.running <- List.filter (fun r' -> r'.cmd.id <> r.cmd.id) dev.running;
+  dev.running <- without r.cmd.id dev.running;
+  count dev r.cmd.app (-1);
   dev.busy_units_now <- dev.busy_units_now - r.cmd.units;
   r.cmd.finished_at <- Some now;
   update_power dev;
@@ -128,8 +155,15 @@ let rec complete dev r () =
 
 and schedule_completion dev r =
   Sim.cancel dev.sim r.completion;
-  let duration = Time.of_sec_f (r.remaining_s /. dev.factor) in
-  r.completion <- Sim.schedule_after dev.sim (max 1 duration) (complete dev r)
+  (* [Time.of_sec_f], spelled out so the float is not boxed *)
+  let duration = int_of_float (Float.round (r.remaining_s /. dev.factor *. 1e9)) in
+  r.completion <- Sim.schedule_after dev.sim (max 1 duration) r.fire
+
+and schedule_all dev = function
+  | [] -> ()
+  | r :: rest ->
+      schedule_completion dev r;
+      schedule_all dev rest
 
 and start_cmd dev cmd =
   let now = Sim.now dev.sim in
@@ -137,7 +171,16 @@ and start_cmd dev cmd =
   cmd.started_at <- Some now;
   let was_idle = dev.busy_units_now = 0 in
   dev.busy_units_now <- dev.busy_units_now + cmd.units;
-  let r = { cmd; remaining_s = cmd.work_s; last_update = now; completion = Sim.none } in
+  let r =
+    {
+      cmd;
+      remaining_s = cmd.work_s;
+      last_update = now;
+      completion = Sim.none;
+      fire = ignore;
+    }
+  in
+  r.fire <- (fun () -> complete dev r);
   schedule_completion dev r;
   dev.running <- r :: dev.running;
   update_power dev;
@@ -186,6 +229,7 @@ let create sim ?retention ~name ~units ?(opps = default_opps)
       factor = 1.0;
       waiting = [];
       running = [];
+      per_app = Array.make 8 0;
       on_complete = (fun _ -> ());
       busy_accum = 0;
       busy_units_now = 0;
@@ -226,9 +270,9 @@ let create sim ?retention ~name ~units ?(opps = default_opps)
   ignore
     (Bus.subscribe (Dvfs.changes d) (fun _ ->
          (* Account progress at the old speed, then re-time completions. *)
-         List.iter (fun r -> sync_progress dev r) dev.running;
+         sync_all dev dev.running;
          dev.factor <- compute_factor (dvfs_exn dev);
-         List.iter (fun r -> schedule_completion dev r) dev.running;
+         schedule_all dev dev.running;
          update_power dev));
   dev.factor <- compute_factor (dvfs_exn dev);
   update_power dev;
@@ -243,6 +287,7 @@ let submit dev cmd =
   cmd.submitted_at <- Sim.now dev.sim;
   Sim.cancel dev.sim dev.suspend_timer;
   dev.waiting <- dev.waiting @ [ cmd ];
+  count dev cmd.app 1;
   if dev.suspended then begin
     dev.suspended <- false;
     dev.suspended_accum <-
@@ -260,13 +305,14 @@ let set_on_complete dev f = dev.on_complete <- f
 let in_flight dev = List.length dev.waiting + List.length dev.running
 
 let in_flight_of dev ~app =
-  List.length (List.filter (fun c -> c.app = app) dev.waiting)
-  + List.length (List.filter (fun r -> r.cmd.app = app) dev.running)
+  if app >= 0 && app < Array.length dev.per_app then dev.per_app.(app) else 0
 
 let in_flight_apps dev =
-  List.sort_uniq compare
-    (List.map (fun c -> c.app) dev.waiting
-    @ List.map (fun r -> r.cmd.app) dev.running)
+  let r = ref [] in
+  for app = Array.length dev.per_app - 1 downto 0 do
+    if dev.per_app.(app) > 0 then r := app :: !r
+  done;
+  !r
 
 let busy_units dev = dev.busy_units_now
 

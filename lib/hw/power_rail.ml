@@ -2,9 +2,9 @@ open Psbox_engine
 
 type transition = {
   rail_name : string;
-  at : Time.t;
-  before_w : float;
-  after_w : float;
+  mutable at : Time.t;
+  mutable before_w : float;
+  mutable after_w : float;
 }
 
 type t = {
@@ -14,6 +14,7 @@ type t = {
   floor_w : float;
   timeline : Timeline.t;
   bus : transition Bus.t;
+  tr : transition; (* the one record [set_power] publishes *)
   mutable cur_w : float;
 }
 
@@ -27,6 +28,7 @@ let create ?retention ?floor_w sim ~name ~idle_w =
     floor_w;
     timeline = Timeline.create ~initial:idle_w ?retention ();
     bus = Bus.create ();
+    tr = { rail_name = name; at = Time.zero; before_w = idle_w; after_w = idle_w };
     cur_w = idle_w;
   }
 
@@ -38,9 +40,13 @@ let set_power rail w =
   let before = rail.cur_w in
   Timeline.set rail.timeline (Sim.now rail.sim) w;
   rail.cur_w <- w;
-  if w <> before then
-    Bus.publish rail.bus
-      { rail_name = rail.name; at = Sim.now rail.sim; before_w = before; after_w = w }
+  if w <> before then begin
+    let tr = rail.tr in
+    tr.at <- Sim.now rail.sim;
+    tr.before_w <- before;
+    tr.after_w <- w;
+    Bus.publish rail.bus tr
+  end
 
 let power rail = rail.cur_w
 let energy_j rail ~from ~until = Timeline.integrate rail.timeline from until

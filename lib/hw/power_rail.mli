@@ -10,12 +10,17 @@
 
 type transition = {
   rail_name : string;
-  at : Psbox_engine.Time.t;
-  before_w : float;
-  after_w : float;
+  mutable at : Psbox_engine.Time.t;
+  mutable before_w : float;
+  mutable after_w : float;
 }
 (** One power transition: at instant [at] the draw changed from [before_w]
-    to [after_w] watts. *)
+    to [after_w] watts.
+
+    Each rail keeps one record and overwrites it for every transition, so
+    publishing allocates no record. A record is valid only while it is
+    being delivered: a subscriber copies the fields it needs and never
+    keeps the record itself. *)
 
 type t
 
@@ -48,8 +53,9 @@ val floor_w : t -> float
 
 val set_power : t -> float -> unit
 (** Record the rail's instantaneous draw changing to the given watts at the
-    current simulated time. If the draw actually changes, a {!transition} is
-    published on {!transitions} after the history is updated. *)
+    current simulated time. If the draw actually changes, the rail's
+    {!transition} record is refilled and published on {!transitions} after
+    the history is updated. *)
 
 val power : t -> float
 (** The current draw in watts (O(1)). *)

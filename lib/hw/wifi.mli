@@ -111,9 +111,9 @@ val awake : t -> bool
 val awake_seconds : t -> float
 (** Cumulative seconds out of power-save (awake-idle, TX or RX). *)
 
-val tx_airtime_by_level_seconds : t -> float array
-(** Cumulative TX on-air seconds per transmission level (length
-    {!tx_level_count}). A frame's airtime is billed to the level in effect
+val tx_airtime_seconds : t -> level:int -> float
+(** Cumulative TX on-air seconds at one transmission level ([0 <= level <
+    tx_level_count]). A frame's airtime is billed to the level in effect
     when it went on the air. *)
 
 val rx_airtime_seconds : t -> float

@@ -24,11 +24,17 @@ type t = {
   buffering : buffering;
   window : int;
   confine_cost : bool;
-  queues : (int, pending Queue.t) Hashtbl.t;
+  (* Per-app state by app id: the buffered commands ([no_queue] until the
+     app first submits) and the fair-queueing vruntime ([nan] until first
+     read, when it starts at the virtual time). [order] lists the apps
+     with a queue in the order the picks visit them: that of the
+     [Hashtbl] the driver once kept, whose fold order settled ties. *)
+  mutable queues : pending Queue.t array;
+  order : Share_table.t;
+  mutable vrt : float array;
   callbacks : (int, pending) Hashtbl.t; (* command id -> pending *)
-  vrt : (int, float) Hashtbl.t;
   done_count : (int, int) Hashtbl.t;
-  mutable vtime : float; (* fair-queueing virtual time *)
+  vtime : Task.vclock; (* fair-queueing virtual time *)
   mutable rr_order : int list;
   mutable sandboxed : int option;
   mutable unsandboxing : bool;
@@ -46,8 +52,10 @@ type t = {
       (* SGX-style [Lock_requests] stacks: submissions that arrived while a
          foreign balloon held the queue, to be accepted at flush-others *)
   share_bus : Share_table.change Bus.t;
+  share_change : Share_table.change; (* the one record [publish_share] reuses *)
   gates : (int, gate) Hashtbl.t;
   mutable gate_pump : Sim.handle; (* armed wakeup, Sim.none when idle *)
+  mutable gate_fire : unit -> unit; (* its handler, built once *)
   mutable gate_at : Time.t; (* instant gate_pump is aimed at *)
       (* pending wakeup for the earliest gated backlogged app *)
   (* telemetry: per-device handles resolved once at create; the trace
@@ -59,140 +67,173 @@ type t = {
   tm_gate_wakeups : Tm.counter;
 }
 
+(* The queue of an app that never submitted; never pushed to. *)
+let no_queue : pending Queue.t = Queue.create ()
+
 let device d = d.dev
 let sandboxed d = d.sandboxed
+let is_sandboxed d app = match d.sandboxed with Some a -> a = app | None -> false
+
+(* Room in the per-app arrays for [app]. *)
+let reserve d app =
+  let n = Array.length d.vrt in
+  if app >= n then begin
+    let n' = max (app + 1) (2 * n) in
+    let queues = Array.make n' no_queue and vrt = Array.make n' Float.nan in
+    Array.blit d.queues 0 queues 0 n;
+    Array.blit d.vrt 0 vrt 0 n;
+    d.queues <- queues;
+    d.vrt <- vrt
+  end
 
 let queue_of d app =
-  match Hashtbl.find_opt d.queues app with
-  | Some q -> q
-  | None ->
-      let q = Queue.create () in
-      Hashtbl.add d.queues app q;
-      if not (List.mem app d.rr_order) then d.rr_order <- d.rr_order @ [ app ];
-      q
+  reserve d app;
+  let q = d.queues.(app) in
+  if q != no_queue then q
+  else begin
+    let q = Queue.create () in
+    d.queues.(app) <- q;
+    Share_table.set d.order ~app 1.0;
+    if not (List.mem app d.rr_order) then d.rr_order <- d.rr_order @ [ app ];
+    q
+  end
 
-let vrt_of d app =
-  match Hashtbl.find_opt d.vrt app with
-  | Some v -> v
-  | None ->
-      Hashtbl.add d.vrt app d.vtime;
-      d.vtime
+(* Start [app]'s vruntime at the virtual time if it has none yet; read it
+   as [d.vrt.(app)] (a float returned from a function would be boxed). *)
+let init_vrt d app =
+  reserve d app;
+  let v = d.vrt.(app) in
+  if v <> v then d.vrt.(app) <- d.vtime.ns
 
-let add_vrt d app delta = Hashtbl.replace d.vrt app (vrt_of d app +. delta)
-let vruntime d ~app = vrt_of d app
+let add_vrt d app delta =
+  init_vrt d app;
+  d.vrt.(app) <- d.vrt.(app) +. delta
+
+let vruntime d ~app =
+  init_vrt d app;
+  d.vrt.(app)
 let pending d ~app = Queue.length (queue_of d app)
 
 let completed d ~app =
-  match Hashtbl.find_opt d.done_count app with Some n -> n | None -> 0
+  match Hashtbl.find d.done_count app with n -> n | exception Not_found -> 0
 
 let units_f d = float_of_int (Accel.units d.dev)
-
-(* Apps with at least one buffered command. *)
-let backlogged d =
-  Hashtbl.fold (fun app q acc -> if Queue.is_empty q then acc else app :: acc) d.queues []
-
-let pick_fair d apps =
-  match apps with
-  | [] -> None
-  | _ ->
-      Some
-        (List.fold_left
-           (fun best app -> if vrt_of d app < vrt_of d best then app else best)
-           (List.hd apps) (List.tl apps))
-
-let pick_rr d apps =
-  let rec find = function
-    | [] -> None
-    | app :: rest -> if List.mem app apps then Some app else find rest
-  in
-  match find d.rr_order with
-  | Some app ->
-      (* rotate past the chosen app *)
-      d.rr_order <-
-        (List.filter (fun a -> a <> app) d.rr_order) @ [ app ];
-      Some app
-  | None -> None
+let backlogged d app = not (Queue.is_empty d.queues.(app))
 
 let eligible d app =
-  match Hashtbl.find_opt d.gates app with
-  | Some g -> g.g_next <= Sim.now d.sim
-  | None -> true
+  match Hashtbl.find d.gates app with
+  | g -> g.g_next <= Sim.now d.sim
+  | exception Not_found -> true
+
+(* Rate-gated apps sit out the pick until their gate reopens; the sandboxed
+   app is exempt (balloons are psbox's own enforcement path). *)
+let candidate d app = backlogged d app && (is_sandboxed d app || eligible d app)
 
 let charge_gate d app cmd =
-  match Hashtbl.find_opt d.gates app with
-  | Some g ->
+  match Hashtbl.find d.gates app with
+  | g ->
       let cost = cmd.Accel.work_s *. float_of_int cmd.Accel.units in
       let now = Sim.now d.sim in
       let base = if g.g_next > now then g.g_next else now in
       g.g_next <- base + Time.of_sec_f (cost /. g.g_rate)
-  | None -> ()
+  | exception Not_found -> ()
 
-(* Rate-gated apps sit out the pick until their gate reopens; the sandboxed
-   app is exempt (balloons are psbox's own enforcement path). *)
+(* Fair: the candidate of least vruntime; a tie goes to the app visited
+   last, which headed the list the [Hashtbl] fold built. *)
+let pick_fair d =
+  let best = ref (-1) and best_v = ref 0.0 in
+  for i = d.order.Share_table.n - 1 downto 0 do
+    let app = d.order.Share_table.apps.(i) in
+    if candidate d app then begin
+      init_vrt d app;
+      let v = d.vrt.(app) in
+      if !best < 0 || v < !best_v then begin
+        best := app;
+        best_v := v
+      end
+    end
+  done;
+  !best
+
+let rec first_candidate d = function
+  | [] -> -1
+  | app :: rest -> if candidate d app then app else first_candidate d rest
+
+let pick_rr d =
+  let app = first_candidate d d.rr_order in
+  if app >= 0 then
+    (* rotate past the chosen app *)
+    d.rr_order <- List.filter (fun a -> a <> app) d.rr_order @ [ app ];
+  app
+
+(* The app to dispatch next, or -1. *)
 let pick_app d =
-  let apps =
-    List.filter
-      (fun a -> d.sandboxed = Some a || eligible d a)
-      (backlogged d)
-  in
-  match d.policy with Fair -> pick_fair d apps | Round_robin -> pick_rr d apps
+  match d.policy with Fair -> pick_fair d | Round_robin -> pick_rr d
 
 let publish_share d app =
-  Bus.publish d.share_bus
-    {
-      Share_table.at = Sim.now d.sim;
-      app;
-      share = float_of_int (Accel.in_flight_of d.dev ~app);
-    }
+  let c = d.share_change in
+  c.Share_table.at <- Sim.now d.sim;
+  c.Share_table.app <- app;
+  c.Share_table.share <- float_of_int (Accel.in_flight_of d.dev ~app);
+  Bus.publish d.share_bus c
 
-(* Effective credit of the sandboxed app while a balloon is open: its billed
-   vruntime plus the whole-device time accrued so far this serve window. *)
-let effective_sandbox_vrt d app =
-  let base = vrt_of d app in
-  match d.phase with
-  | Serve | Drain_psbox ->
-      base +. (Time.to_sec_f (Sim.now d.sim - d.serve_started) *. units_f d)
-  | Normal | Drain_others -> base
-
+(* Whether the sandboxed [app] should give the device up: another app is
+   backlogged and the balloon is ending, [app] has nothing left, or (fair)
+   another backlogged app has less vruntime than [app]'s effective credit,
+   its billed vruntime plus the whole-device time accrued so far this
+   serve window. *)
 let should_yield d app =
-  let others = List.filter (fun a -> a <> app) (backlogged d) in
-  match others with
-  | [] -> false
-  | _ -> (
-      d.unsandboxing
-      || Queue.is_empty (queue_of d app)
-         && Accel.in_flight_of d.dev ~app = 0
-      ||
-      match d.policy with
-      | Round_robin -> Queue.is_empty (queue_of d app)
-      | Fair -> (
-          match pick_fair d others with
-          | Some best -> vrt_of d best < effective_sandbox_vrt d app
-          | None -> false))
+  let others = ref false and least = ref infinity in
+  for i = 0 to d.order.Share_table.n - 1 do
+    let a = d.order.Share_table.apps.(i) in
+    if a <> app && backlogged d a then begin
+      others := true;
+      init_vrt d a;
+      if d.vrt.(a) < !least then least := d.vrt.(a)
+    end
+  done;
+  !others
+  && (d.unsandboxing
+     || Queue.is_empty (queue_of d app)
+        && Accel.in_flight_of d.dev ~app = 0
+     ||
+     match d.policy with
+     | Round_robin -> Queue.is_empty (queue_of d app)
+     | Fair ->
+         init_vrt d app;
+         let eff =
+           match d.phase with
+           | Serve | Drain_psbox ->
+               d.vrt.(app)
+               +. (float_of_int (Sim.now d.sim - d.serve_started) /. 1e9
+                  *. units_f d)
+           | Normal | Drain_others -> d.vrt.(app)
+         in
+         !least < eff)
 
-(* The virtual-time frontier: the least vruntime among apps still competing
-   (queued in the driver or with commands in flight on the device). *)
-let active_floor d =
-  let floor = ref None in
-  Hashtbl.iter
-    (fun app q ->
-      if (not (Queue.is_empty q)) || Accel.in_flight_of d.dev ~app > 0 then begin
-        let v = vrt_of d app in
-        match !floor with
-        | Some f when f <= v -> ()
-        | _ -> floor := Some v
-      end)
-    d.queues;
-  !floor
+(* Advance the virtual time to the frontier: the least vruntime among apps
+   still competing (queued in the driver or with commands in flight on the
+   device). *)
+let advance_vtime d =
+  let found = ref false and floor = ref 0.0 in
+  for i = 0 to d.order.Share_table.n - 1 do
+    let app = d.order.Share_table.apps.(i) in
+    if backlogged d app || Accel.in_flight_of d.dev ~app > 0 then begin
+      init_vrt d app;
+      let v = d.vrt.(app) in
+      if not (!found && !floor <= v) then begin
+        found := true;
+        floor := v
+      end
+    end
+  done;
+  if !found then d.vtime.ns <- Float.max d.vtime.ns !floor
 
 let dispatch d app =
   (* advance the frontier before popping, while the dispatched app still
      counts as active; serve-phase dispatches are billed wholesale and
      would distort it *)
-  (if d.phase <> Serve then
-     match active_floor d with
-     | Some f -> d.vtime <- Float.max d.vtime f
-     | None -> ());
+  if d.phase <> Serve then advance_vtime d;
   let q = queue_of d app in
   let p = Queue.pop q in
   let lat = Time.to_us_f (Sim.now d.sim - p.p_enqueued) in
@@ -226,16 +267,25 @@ let rec pump d =
           end)
   | Normal ->
       if Accel.in_flight d.dev < d.window then begin
-        match pick_app d with
-        | Some app when d.sandboxed = Some app ->
+        let app = pick_app d in
+        if app < 0 then arm_gate_pump d
+        else if is_sandboxed d app then begin
+          if Accel.in_flight d.dev = 0 && should_yield d app then
+            (* The balloon would open and close at this instant, to yield
+               to an app whose gate keeps it from dispatching, and this
+               same pick would reopen it, forever: wait for the gate. *)
+            arm_gate_pump d
+          else begin
             d.phase <- Drain_others;
             d.drain_started <- Sim.now d.sim;
             d.drain_busy_mark <- Accel.busy_unit_seconds d.dev;
             check_drain d
-        | Some app ->
-            dispatch d app;
-            pump d
-        | None -> arm_gate_pump d
+          end
+        end
+        else begin
+          dispatch d app;
+          pump d
+        end
       end
 
 (* Nothing is dispatchable right now, but a gated backlogged app may become
@@ -243,29 +293,26 @@ let rec pump d =
    reopening, else a rate-capped app whose co-runners go quiet would stall
    until the next unrelated driver event. *)
 and arm_gate_pump d =
-  let next =
-    List.fold_left
-      (fun acc app ->
-        match Hashtbl.find_opt d.gates app with
-        | Some g when g.g_next > Sim.now d.sim -> (
-            match acc with
-            | Some t when t <= g.g_next -> acc
-            | Some _ | None -> Some g.g_next)
-        | Some _ | None -> acc)
-      None (backlogged d)
-  in
-  match next with
-  | None -> ()
-  | Some t ->
-      if Sim.is_none d.gate_pump || d.gate_at > t then begin
-        Sim.cancel d.sim d.gate_pump;
-        d.gate_at <- t;
-        d.gate_pump <-
-          Sim.schedule_at d.sim t (fun () ->
-              d.gate_pump <- Sim.none;
-              Tm.incr d.tm_gate_wakeups;
-              pump d)
-      end
+  let now = Sim.now d.sim in
+  let next = ref max_int in
+  for i = 0 to d.order.Share_table.n - 1 do
+    let app = d.order.Share_table.apps.(i) in
+    if backlogged d app then
+      match Hashtbl.find d.gates app with
+      | g -> if g.g_next > now && g.g_next < !next then next := g.g_next
+      | exception Not_found -> ()
+  done;
+  let t = !next in
+  if t < max_int && (Sim.is_none d.gate_pump || d.gate_at > t) then begin
+    Sim.cancel d.sim d.gate_pump;
+    d.gate_at <- t;
+    d.gate_pump <- Sim.schedule_at d.sim t d.gate_fire
+  end
+
+and gate_fired d =
+  d.gate_pump <- Sim.none;
+  Tm.incr d.tm_gate_wakeups;
+  pump d
 
 and check_drain d =
   match d.phase with
@@ -321,8 +368,8 @@ and exit_serve d =
 
 let on_device_complete d cmd =
   publish_share d cmd.Accel.app;
-  (match Hashtbl.find_opt d.callbacks cmd.Accel.id with
-  | Some p ->
+  (match Hashtbl.find d.callbacks cmd.Accel.id with
+  | p ->
       Hashtbl.remove d.callbacks cmd.Accel.id;
       Trace.record d.log cmd;
       Tm.incr d.tm_completed;
@@ -339,20 +386,22 @@ let on_device_complete d cmd =
          windows are billed wholesale *)
       let sandbox_billed =
         d.confine_cost
-        && d.sandboxed = Some cmd.Accel.app
+        && is_sandboxed d cmd.Accel.app
         && (d.phase = Serve || d.phase = Drain_psbox)
       in
       if not sandbox_billed then begin
-        let occupancy =
+        let app = cmd.Accel.app in
+        init_vrt d app;
+        d.vrt.(app) <-
+          d.vrt.(app)
+          +.
           match (cmd.Accel.started_at, cmd.Accel.finished_at) with
           | Some t0, Some t1 ->
-              Time.to_sec_f (t1 - t0) *. float_of_int cmd.Accel.units
+              float_of_int (t1 - t0) /. 1e9 *. float_of_int cmd.Accel.units
           | _ -> cmd.Accel.work_s *. float_of_int cmd.Accel.units
-        in
-        add_vrt d cmd.Accel.app occupancy
       end;
       p.p_cb cmd
-  | None -> ());
+  | exception Not_found -> ());
   check_drain d;
   pump d
 
@@ -370,11 +419,12 @@ let create sim dev ?(policy = Fair) ?(buffering = Per_process_queues)
       buffering;
       window;
       confine_cost;
-      queues = Hashtbl.create 8;
+      queues = Array.make 8 no_queue;
+      order = Share_table.create ();
+      vrt = Array.make 8 Float.nan;
       callbacks = Hashtbl.create 32;
-      vrt = Hashtbl.create 8;
       done_count = Hashtbl.create 8;
-      vtime = 0.0;
+      vtime = { Task.ns = 0.0 };
       rr_order = [];
       sandboxed = None;
       unsandboxing = false;
@@ -391,8 +441,10 @@ let create sim dev ?(policy = Fair) ?(buffering = Per_process_queues)
       log = Trace.create ~reader:"Accel_driver.completed_commands" ~arm_with;
       blocked_submitters = [];
       share_bus = Bus.create ();
+      share_change = { Share_table.at = Time.zero; app = 0; share = 0.0 };
       gates = Hashtbl.create 4;
       gate_pump = Sim.none;
+      gate_fire = ignore;
       gate_at = Time.zero;
       tm_track = "kernel.accel." ^ Accel.name dev;
       tm_dispatched =
@@ -407,6 +459,7 @@ let create sim dev ?(policy = Fair) ?(buffering = Per_process_queues)
         Tm.counter (Printf.sprintf "accel.%s.gate_wakeups" (Accel.name dev));
     }
   in
+  d.gate_fire <- (fun () -> gate_fired d);
   Accel.set_on_complete dev (fun cmd -> on_device_complete d cmd);
   d
 
@@ -472,7 +525,8 @@ let submit d ?(on_accepted = fun () -> ()) ~app cmd ~on_complete =
   in
   if was_idle then begin
     let bonus = 0.002 *. units_f d in
-    Hashtbl.replace d.vrt app (Float.max (vrt_of d app) (d.vtime -. bonus))
+    init_vrt d app;
+    d.vrt.(app) <- Float.max d.vrt.(app) (d.vtime.ns -. bonus)
   end;
   Queue.push p (queue_of d app);
   if not (submission_blocks d ~app) then on_accepted ();

@@ -23,7 +23,10 @@
     The interval from the end of phase 1 to the end of phase 4 is an
     exclusive balloon: only the sandboxed app (plus idle power) touches the
     device, and listeners are notified so the psbox virtual meter and the
-    power-state virtualization can act on the boundaries. *)
+    power-state virtualization can act on the boundaries.
+
+    App ids are non-negative: the driver keeps its per-app state in arrays
+    indexed by them. *)
 
 type policy = Fair | Round_robin
 

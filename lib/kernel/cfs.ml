@@ -10,7 +10,7 @@ type t = {
   mutable eids : int array;
   mutable ents : Entity.t array;
   mutable n : int;
-  mutable running : Entity.t option;
+  mutable running : Entity.t; (* Entity.none when idle *)
   min_vrt : Task.vclock;
 }
 
@@ -24,7 +24,7 @@ let create ~core =
     eids = [||];
     ents = [||];
     n = 0;
-    running = None;
+    running = Entity.none;
     min_vrt = { Task.ns = 0.0 };
   }
 
@@ -98,16 +98,16 @@ let requeue rq e =
     insert rq e
   end
 
-let leftmost rq = if rq.n = 0 then None else Some rq.ents.(0)
+let leftmost rq = if rq.n = 0 then Entity.none else rq.ents.(0)
 
 let best_other rq e =
   let id = e.Entity.eid in
-  if rq.n > 0 && rq.eids.(0) <> id then Some rq.ents.(0)
-  else if rq.n > 1 then Some rq.ents.(1)
-  else None
+  if rq.n > 0 && rq.eids.(0) <> id then rq.ents.(0)
+  else if rq.n > 1 then rq.ents.(1)
+  else Entity.none
 
-let queued rq = List.init rq.n (fun i -> rq.ents.(i))
 let n_queued rq = rq.n
+let nth rq i = rq.ents.(i)
 let curr rq = rq.running
 let set_curr rq e = rq.running <- e
 let min_vruntime rq = rq.min_vrt.ns
@@ -116,12 +116,13 @@ let min_vruntime rq = rq.min_vrt.ns
    the leftmost stored key, and never moves back. *)
 let update_min_vruntime rq =
   let m = rq.min_vrt in
-  match rq.running with
-  | Some e ->
-      let v = e.Entity.vruntime.ns in
-      let v = if rq.n > 0 then Float.min v rq.keys.(0) else v in
-      m.ns <- Float.max m.ns v
-  | None -> if rq.n > 0 then m.ns <- Float.max m.ns rq.keys.(0)
+  let e = rq.running in
+  if e != Entity.none then begin
+    let v = e.Entity.vruntime.ns in
+    let v = if rq.n > 0 then Float.min v rq.keys.(0) else v in
+    m.ns <- Float.max m.ns v
+  end
+  else if rq.n > 0 then m.ns <- Float.max m.ns rq.keys.(0)
 
 let place_new rq e =
   let v = e.Entity.vruntime in
@@ -137,11 +138,11 @@ let charge rq e span =
   (match e.Entity.kind with
   | Entity.EGroup g -> (
       (* bill the inner running task too, for intra-group fairness *)
-      match g.Entity.gcurr with
-      | Some t ->
-          let tv = t.Task.vruntime in
-          tv.ns <- tv.ns +. (float_of_int span *. nice0_weight /. t.Task.weight)
-      | None -> ())
+      let t = g.Entity.gcurr in
+      if t != Task.none then begin
+        let tv = t.Task.vruntime in
+        tv.ns <- tv.ns +. (float_of_int span *. nice0_weight /. t.Task.weight)
+      end)
   | Entity.ETask t -> t.Task.vruntime.ns <- v.ns);
   if e.Entity.on_rq then requeue rq e;
   update_min_vruntime rq

@@ -25,21 +25,25 @@ val requeue : t -> Entity.t -> unit
 (** [dequeue] then [enqueue]; call after changing a queued entity's
     vruntime. *)
 
-val leftmost : t -> Entity.t option
-(** The queued entity with the least vruntime (excluding the running one). *)
+val leftmost : t -> Entity.t
+(** The queued entity with the least vruntime (excluding the running one),
+    or {!Entity.none} if the queue is empty. *)
 
-val best_other : t -> Entity.t -> Entity.t option
+val best_other : t -> Entity.t -> Entity.t
 (** The queued entity with the least vruntime other than the given one:
-    what a balloon's entity must beat on this core. Allocates only the
-    option. *)
-
-val queued : t -> Entity.t list
-(** All queued entities, least vruntime first. *)
+    what a balloon's entity must beat on this core; {!Entity.none} if there
+    is none. Allocates nothing. *)
 
 val n_queued : t -> int
 
-val curr : t -> Entity.t option
-val set_curr : t -> Entity.t option -> unit
+val nth : t -> int -> Entity.t
+(** [nth rq i], for [0 <= i < n_queued rq]: the [i]th queued entity,
+    least vruntime first. *)
+
+val curr : t -> Entity.t
+(** The running entity, or {!Entity.none} on an idle core. *)
+
+val set_curr : t -> Entity.t -> unit
 
 val min_vruntime : t -> float
 

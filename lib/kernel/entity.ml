@@ -2,7 +2,7 @@ type group = {
   psbox_id : int;
   gcore : int;
   mutable gtasks : Task.t list;
-  mutable gcurr : Task.t option;
+  mutable gcurr : Task.t; (* Task.none when no member runs *)
   mutable loan : float;
 }
 
@@ -37,8 +37,17 @@ let of_task task =
 let group ~psbox_id ~core ?(weight = 1024.0) () =
   {
     eid = fresh_eid ();
-    kind = EGroup { psbox_id; gcore = core; gtasks = []; gcurr = None; loan = 0.0 };
+    kind = EGroup { psbox_id; gcore = core; gtasks = []; gcurr = Task.none; loan = 0.0 };
     weight;
+    vruntime = { Task.ns = 0.0 };
+    on_rq = false;
+  }
+
+let none =
+  {
+    eid = -1;
+    kind = ETask Task.none;
+    weight = 1024.0;
     vruntime = { Task.ns = 0.0 };
     on_rq = false;
   }
@@ -53,15 +62,16 @@ let runnable e =
   | ETask t -> Task.is_runnable t
   | EGroup g -> List.exists Task.is_runnable g.gtasks
 
-let group_pick g =
-  let best acc t =
-    if not (Task.is_runnable t) then acc
-    else
-      match acc with
-      | None -> Some t
-      | Some b -> if t.Task.vruntime.ns < b.Task.vruntime.ns then Some t else acc
-  in
-  List.fold_left best None g.gtasks
+(* The first runnable task of least vruntime, in list order. *)
+let rec pick best = function
+  | [] -> best
+  | t :: rest ->
+      if not (Task.is_runnable t) then pick best rest
+      else if best == Task.none || t.Task.vruntime.ns < best.Task.vruntime.ns
+      then pick t rest
+      else pick best rest
+
+let group_pick g = pick Task.none g.gtasks
 
 let pp fmt e =
   match e.kind with

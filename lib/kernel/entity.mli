@@ -10,7 +10,8 @@ type group = {
   psbox_id : int;  (** the sandboxed app's id *)
   gcore : int;
   mutable gtasks : Task.t list;  (** the app's tasks assigned to this core *)
-  mutable gcurr : Task.t option;  (** inner task currently running *)
+  mutable gcurr : Task.t;
+      (** inner task currently running; {!Task.none} when none is *)
   mutable loan : float;  (** vruntime borrowed during the live balloon *)
 }
 
@@ -23,6 +24,11 @@ type t = {
   vruntime : Task.vclock;  (** its own cell, never shared with its task *)
   mutable on_rq : bool;
 }
+
+val none : t
+(** A placeholder entity, never queued: what {!Cfs} answers for "no
+    entity" (an idle core, an empty queue) without allocating an option.
+    Test with [e == none]. *)
 
 val reset_ids : unit -> unit
 (** Restart eid numbering from 1 in the current domain — see
@@ -42,7 +48,8 @@ val runnable : t -> bool
     iff any of its tasks is. (A group inside a live balloon is forced to run
     even when empty — that is the scheduler's decision, not the entity's.) *)
 
-val group_pick : group -> Task.t option
-(** The runnable member task with the least vruntime, if any. *)
+val group_pick : group -> Task.t
+(** The runnable member task with the least vruntime (the first in list
+    order on a tie), or {!Task.none} if no member is runnable. *)
 
 val pp : Format.formatter -> t -> unit

@@ -20,11 +20,18 @@ type gate = { mutable g_rate : float; mutable g_next : Time.t }
 type t = {
   sim : Sim.t;
   nic : Wifi.t;
-  queues : (int, pending Queue.t) Hashtbl.t;
+  (* Per-app state by app id, as in Accel_driver: the buffered frames
+     ([no_queue] until the app first sends) and the credit, bytes billed
+     ([nan] until first read, when it starts at the virtual time). [order]
+     lists the apps with a queue in the order the picks visit them: that
+     of the [Hashtbl] the scheduler once kept, whose fold order settled
+     ties. *)
+  mutable queues : pending Queue.t array;
+  order : Share_table.t;
+  mutable credit : float array;
   callbacks : (int, pending) Hashtbl.t; (* pkt id -> pending *)
-  credit : (int, float) Hashtbl.t;
   sent : (int, int) Hashtbl.t;
-  mutable vtime : float;
+  vtime : Task.vclock;
   window : int;
   mutable sandboxed : int option;
   mutable unsandboxing : bool;
@@ -40,8 +47,10 @@ type t = {
   latencies : (int * float) Trace.t;
   pkt_log : Wifi.pkt Trace.t; (* completed frames *)
   share_bus : Share_table.change Bus.t;
+  share_change : Share_table.change; (* the one record [publish_share] reuses *)
   gates : (int, gate) Hashtbl.t;
   mutable gate_pump : Sim.handle; (* armed wakeup, Sim.none when idle *)
+  mutable gate_fire : unit -> unit; (* its handler, built once *)
   mutable gate_at : Time.t; (* instant gate_pump is aimed at *)
   (* telemetry handles, resolved once at create *)
   tm_tx : Tm.counter;
@@ -52,101 +61,141 @@ type t = {
   tm_gate_wakeups : Tm.counter;
 }
 
+(* The queue of an app that never sent; never pushed to. *)
+let no_queue : pending Queue.t = Queue.create ()
+
 let nic d = d.nic
+let is_sandboxed d app = match d.sandboxed with Some a -> a = app | None -> false
+
+(* Room in the per-app arrays for [app]. *)
+let reserve d app =
+  let n = Array.length d.credit in
+  if app >= n then begin
+    let n' = max (app + 1) (2 * n) in
+    let queues = Array.make n' no_queue and credit = Array.make n' Float.nan in
+    Array.blit d.queues 0 queues 0 n;
+    Array.blit d.credit 0 credit 0 n;
+    d.queues <- queues;
+    d.credit <- credit
+  end
 
 let queue_of d app =
-  match Hashtbl.find_opt d.queues app with
-  | Some q -> q
-  | None ->
-      let q = Queue.create () in
-      Hashtbl.add d.queues app q;
-      q
+  reserve d app;
+  let q = d.queues.(app) in
+  if q != no_queue then q
+  else begin
+    let q = Queue.create () in
+    d.queues.(app) <- q;
+    Share_table.set d.order ~app 1.0;
+    q
+  end
 
-let credit_of d app =
-  match Hashtbl.find_opt d.credit app with
-  | Some c -> c
-  | None ->
-      Hashtbl.add d.credit app d.vtime;
-      d.vtime
+(* Start [app]'s credit at the virtual time if it has none yet; read it as
+   [d.credit.(app)] (a float returned from a function would be boxed). *)
+let init_credit d app =
+  reserve d app;
+  let c = d.credit.(app) in
+  if c <> c then d.credit.(app) <- d.vtime.ns
 
-let add_credit d app delta = Hashtbl.replace d.credit app (credit_of d app +. delta)
-let credit d ~app = credit_of d app
+let add_credit d app delta =
+  init_credit d app;
+  d.credit.(app) <- d.credit.(app) +. delta
+
+let credit d ~app =
+  init_credit d app;
+  d.credit.(app)
 let pending d ~app = Queue.length (queue_of d app)
 
 let sent_bytes d ~app =
-  match Hashtbl.find_opt d.sent app with Some n -> n | None -> 0
+  match Hashtbl.find d.sent app with n -> n | exception Not_found -> 0
 
-let backlogged d =
-  Hashtbl.fold (fun app q acc -> if Queue.is_empty q then acc else app :: acc) d.queues []
+let backlogged d app = not (Queue.is_empty d.queues.(app))
 
 let eligible d app =
-  match Hashtbl.find_opt d.gates app with
-  | Some g -> g.g_next <= Sim.now d.sim
-  | None -> true
+  match Hashtbl.find d.gates app with
+  | g -> g.g_next <= Sim.now d.sim
+  | exception Not_found -> true
 
 let charge_gate d app (pkt : Wifi.pkt) =
-  match Hashtbl.find_opt d.gates app with
-  | Some g when pkt.Wifi.dir = `Tx ->
+  match Hashtbl.find d.gates app with
+  | g when pkt.Wifi.dir = `Tx ->
       let now = Sim.now d.sim in
       let base = if g.g_next > now then g.g_next else now in
       g.g_next <- base + Time.of_sec_f (float_of_int pkt.Wifi.bytes /. g.g_rate)
-  | Some _ | None -> ()
+  | _ -> ()
+  | exception Not_found -> ()
 
 (* Rate-gated apps keep their queue and credit but sit out the pick until
    the gate reopens; the sandboxed app is exempt (balloons are psbox's own
-   enforcement path). *)
+   enforcement path). The pick is the least credit; a tie goes to the app
+   visited last, which headed the list the [Hashtbl] fold built. Returns
+   -1 if no app may send. *)
 let pick_app d =
-  match
-    List.filter (fun a -> d.sandboxed = Some a || eligible d a) (backlogged d)
-  with
-  | [] -> None
-  | apps ->
-      Some
-        (List.fold_left
-           (fun best app -> if credit_of d app < credit_of d best then app else best)
-           (List.hd apps) (List.tl apps))
+  let best = ref (-1) and best_c = ref 0.0 in
+  for i = d.order.Share_table.n - 1 downto 0 do
+    let app = d.order.Share_table.apps.(i) in
+    if backlogged d app && (is_sandboxed d app || eligible d app) then begin
+      init_credit d app;
+      let c = d.credit.(app) in
+      if !best < 0 || c < !best_c then begin
+        best := app;
+        best_c := c
+      end
+    end
+  done;
+  !best
 
 let publish_share d app =
-  Bus.publish d.share_bus
-    {
-      Share_table.at = Sim.now d.sim;
-      app;
-      share = float_of_int (Wifi.in_flight_of d.nic ~app);
-    }
+  let c = d.share_change in
+  c.Share_table.at <- Sim.now d.sim;
+  c.Share_table.app <- app;
+  c.Share_table.share <- float_of_int (Wifi.in_flight_of d.nic ~app);
+  Bus.publish d.share_bus c
 
+(* Whether the sandboxed [app] should give the NIC up: another app is
+   backlogged and the balloon is ending, [app] has nothing left, or another
+   backlogged app has less credit. *)
 let should_yield d app =
-  let others = List.filter (fun a -> a <> app) (backlogged d) in
-  match others with
-  | [] -> false
-  | _ ->
-      d.unsandboxing
-      || (Queue.is_empty (queue_of d app) && Wifi.in_flight_of d.nic ~app = 0)
-      || List.exists (fun a -> credit_of d a < credit_of d app) others
+  let others = ref false and least = ref infinity in
+  for i = 0 to d.order.Share_table.n - 1 do
+    let a = d.order.Share_table.apps.(i) in
+    if a <> app && backlogged d a then begin
+      others := true;
+      init_credit d a;
+      if d.credit.(a) < !least then least := d.credit.(a)
+    end
+  done;
+  !others
+  && (d.unsandboxing
+     || (Queue.is_empty (queue_of d app) && Wifi.in_flight_of d.nic ~app = 0)
+     ||
+     (init_credit d app;
+      !least < d.credit.(app)))
 
-(* The virtual-time frontier: the least credit among apps that are still
-   competing (backlogged in the driver or with frames in flight at the
-   NIC). Wake placement uses it so idle periods don't bank credit, without
-   robbing a backlogged-but-in-flight app of its entitlement. *)
-let active_floor d =
-  let floor = ref None in
-  Hashtbl.iter
-    (fun app q ->
-      if (not (Queue.is_empty q)) || Wifi.in_flight_of d.nic ~app > 0 then begin
-        let c = credit_of d app in
-        match !floor with
-        | Some f when f <= c -> ()
-        | _ -> floor := Some c
-      end)
-    d.queues;
-  !floor
+(* Advance the virtual time to the frontier: the least credit among apps
+   that are still competing (backlogged in the driver or with frames in
+   flight at the NIC). Wake placement uses it so idle periods don't bank
+   credit, without robbing a backlogged-but-in-flight app of its
+   entitlement. *)
+let advance_vtime d =
+  let found = ref false and floor = ref 0.0 in
+  for i = 0 to d.order.Share_table.n - 1 do
+    let app = d.order.Share_table.apps.(i) in
+    if backlogged d app || Wifi.in_flight_of d.nic ~app > 0 then begin
+      init_credit d app;
+      let c = d.credit.(app) in
+      if not (!found && !floor <= c) then begin
+        found := true;
+        floor := c
+      end
+    end
+  done;
+  if !found then d.vtime.ns <- Float.max d.vtime.ns !floor
 
 let dispatch d app =
   (* advance the frontier before popping, while the dispatched app still
      counts as active *)
-  (if d.phase <> Serve then
-     match active_floor d with
-     | Some f -> d.vtime <- Float.max d.vtime f
-     | None -> ());
+  if d.phase <> Serve then advance_vtime d;
   let q = queue_of d app in
   let p = Queue.pop q in
   let lat = Time.to_us_f (Sim.now d.sim - p.p_enqueued) in
@@ -179,43 +228,49 @@ let rec pump d =
           end)
   | Normal ->
       if Wifi.in_flight d.nic < d.window then begin
-        match pick_app d with
-        | Some app when d.sandboxed = Some app ->
+        let app = pick_app d in
+        if app < 0 then arm_gate_pump d
+        else if is_sandboxed d app then begin
+          if Wifi.in_flight d.nic = 0 && should_yield d app then
+            (* The balloon would open and close at this instant, to yield
+               to an app whose gate keeps it from sending, and this same
+               pick would reopen it, forever: wait for the gate. *)
+            arm_gate_pump d
+          else begin
             d.phase <- Drain_others;
             check_drain d
-        | Some app ->
-            dispatch d app;
-            pump d
-        | None -> arm_gate_pump d
+          end
+        end
+        else begin
+          dispatch d app;
+          pump d
+        end
       end
 
 (* Keep exactly one wakeup armed at the earliest gate reopening among
    gated backlogged apps, so a rate-capped app with quiet co-runners does
    not stall until the next unrelated NIC event. *)
 and arm_gate_pump d =
-  let next =
-    List.fold_left
-      (fun acc app ->
-        match Hashtbl.find_opt d.gates app with
-        | Some g when g.g_next > Sim.now d.sim -> (
-            match acc with
-            | Some t when t <= g.g_next -> acc
-            | Some _ | None -> Some g.g_next)
-        | Some _ | None -> acc)
-      None (backlogged d)
-  in
-  match next with
-  | None -> ()
-  | Some t ->
-      if Sim.is_none d.gate_pump || d.gate_at > t then begin
-        Sim.cancel d.sim d.gate_pump;
-        d.gate_at <- t;
-        d.gate_pump <-
-          Sim.schedule_at d.sim t (fun () ->
-              d.gate_pump <- Sim.none;
-              Tm.incr d.tm_gate_wakeups;
-              pump d)
-      end
+  let now = Sim.now d.sim in
+  let next = ref max_int in
+  for i = 0 to d.order.Share_table.n - 1 do
+    let app = d.order.Share_table.apps.(i) in
+    if backlogged d app then
+      match Hashtbl.find d.gates app with
+      | g -> if g.g_next > now && g.g_next < !next then next := g.g_next
+      | exception Not_found -> ()
+  done;
+  let t = !next in
+  if t < max_int && (Sim.is_none d.gate_pump || d.gate_at > t) then begin
+    Sim.cancel d.sim d.gate_pump;
+    d.gate_at <- t;
+    d.gate_pump <- Sim.schedule_at d.sim t d.gate_fire
+  end
+
+and gate_fired d =
+  d.gate_pump <- Sim.none;
+  Tm.incr d.tm_gate_wakeups;
+  pump d
 
 and check_drain d =
   match d.phase with
@@ -238,13 +293,15 @@ and exit_serve d =
       (* lost-opportunity penalty: airtime the balloon held exclusive but
          did not use, expressed in bytes — but only up to what the buffered
          foreign packets could actually have filled *)
-      let queued_foreign =
-        Hashtbl.fold
-          (fun a q acc ->
-            if a = app then acc
-            else Queue.fold (fun acc p -> acc + p.p_pkt.Wifi.bytes) acc q)
-          d.queues 0
-      in
+      let queued_foreign = ref 0 in
+      for i = 0 to d.order.Share_table.n - 1 do
+        let a = d.order.Share_table.apps.(i) in
+        if a <> app then
+          queued_foreign :=
+            Queue.fold (fun acc p -> acc + p.p_pkt.Wifi.bytes) !queued_foreign
+              d.queues.(a)
+      done;
+      let queued_foreign = !queued_foreign in
       let dur = Time.to_sec_f (now - d.serve_started) in
       let used = Wifi.airtime_seconds d.nic -. d.serve_air_mark in
       let wasted_bytes =
@@ -301,8 +358,8 @@ let on_nic_sent d pkt =
          Tt.span ~track:net_track ~lane ~name ~args ~start:t0 ~stop:t1 ()
      | _ -> Tt.instant ~track:net_track ~lane ~name ~args (Sim.now d.sim));
   publish_share d pkt.Wifi.app;
-  (match Hashtbl.find_opt d.callbacks pkt.Wifi.id with
-  | Some p ->
+  (match Hashtbl.find d.callbacks pkt.Wifi.id with
+  | p ->
       Hashtbl.remove d.callbacks pkt.Wifi.id;
       if pkt.Wifi.dir = `Tx then begin
         add_credit d pkt.Wifi.app (float_of_int pkt.Wifi.bytes);
@@ -310,7 +367,7 @@ let on_nic_sent d pkt =
           (sent_bytes d ~app:pkt.Wifi.app + pkt.Wifi.bytes)
       end;
       p.p_cb pkt
-  | None -> ());
+  | exception Not_found -> ());
   check_drain d;
   pump d
 
@@ -322,11 +379,12 @@ let create sim nic ?(window = 1) () =
     {
       sim;
       nic;
-      queues = Hashtbl.create 8;
+      queues = Array.make 8 no_queue;
+      order = Share_table.create ();
+      credit = Array.make 8 Float.nan;
       callbacks = Hashtbl.create 32;
-      credit = Hashtbl.create 8;
       sent = Hashtbl.create 8;
-      vtime = 0.0;
+      vtime = { Task.ns = 0.0 };
       window;
       sandboxed = None;
       unsandboxing = false;
@@ -343,8 +401,10 @@ let create sim nic ?(window = 1) () =
         Trace.create ~reader:"Net_sched.dispatch_latencies_us" ~arm_with;
       pkt_log = Trace.create ~reader:"Net_sched.packet_log" ~arm_with;
       share_bus = Bus.create ();
+      share_change = { Share_table.at = Time.zero; app = 0; share = 0.0 };
       gates = Hashtbl.create 4;
       gate_pump = Sim.none;
+      gate_fire = ignore;
       gate_at = Time.zero;
       tm_tx = Tm.counter "net.tx_packets";
       tm_rx = Tm.counter "net.rx_packets";
@@ -356,6 +416,7 @@ let create sim nic ?(window = 1) () =
       tm_gate_wakeups = Tm.counter "net.gate_wakeups";
     }
   in
+  d.gate_fire <- (fun () -> gate_fired d);
   Wifi.set_on_sent nic (fun pkt -> on_nic_sent d pkt);
   d
 
@@ -400,14 +461,17 @@ let send d ~app ~socket ~bytes ~on_sent =
   let was_idle =
     Queue.is_empty (queue_of d app) && Wifi.in_flight_of d.nic ~app = 0
   in
-  if was_idle then Hashtbl.replace d.credit app (Float.max (credit_of d app) d.vtime);
+  if was_idle then begin
+    init_credit d app;
+    d.credit.(app) <- Float.max d.credit.(app) d.vtime.ns
+  end;
   Queue.push p (queue_of d app);
   pump d
 
 let deliver_rx d ~app ~socket ~bytes ~on_rx =
   let pkt = Wifi.packet ~app ~socket ~bytes ~dir:`Rx () in
   let p = { p_pkt = pkt; p_cb = on_rx; p_enqueued = Sim.now d.sim } in
-  if d.sandboxed = Some app then begin
+  if is_sandboxed d app then begin
     (* the sandboxed app's own reception: the NIC recognizes the balloon's
        (virtual) MAC, so the frame is handled inside the app's balloon and
        its power is metered for the psbox *)

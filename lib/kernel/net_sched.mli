@@ -35,7 +35,8 @@ val send :
   bytes:int ->
   on_sent:(Psbox_hw.Wifi.pkt -> unit) ->
   unit
-(** Queue one packet for transmission. *)
+(** Queue one packet for transmission. App ids are non-negative: the
+    scheduler keeps its per-app state in arrays indexed by them. *)
 
 val deliver_rx :
   t -> app:int -> socket:int -> bytes:int -> on_rx:(Psbox_hw.Wifi.pkt -> unit) -> unit

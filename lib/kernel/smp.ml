@@ -49,6 +49,7 @@ type quota_state = {
   mutable q_used : Time.span; (* runtime consumed in the current period *)
   mutable q_throttled : bool;
   mutable q_event : Sim.handle; (* analytic quota-crossing wakeup *)
+  mutable q_fire : unit -> unit; (* its handler, built once per quota *)
 }
 
 type balloon = {
@@ -62,7 +63,31 @@ type balloon = {
   mutable b_on_start : unit -> unit;
   mutable b_on_stop : unit -> unit;
   mutable b_total_loan : float;
+  (* event handlers, built once per balloon: core j's shootdown IPI, and
+     the same-instant check that ends a balloon with nothing to run *)
+  mutable b_join : (unit -> unit) array;
+  mutable b_idle_check : unit -> unit;
 }
+
+(* What [find_balloon] answers for an app with no balloon. *)
+let no_balloon =
+  {
+    b_app = min_int;
+    b_entities = [||];
+    b_live = false;
+    b_started = Time.zero;
+    b_joined = 0;
+    b_metering = false;
+    b_intervals = Trace.create ~reader:"" ~arm_with:"";
+    b_on_start = ignore;
+    b_on_stop = ignore;
+    b_total_loan = 0.0;
+    b_join = [||];
+    b_idle_check = ignore;
+  }
+
+(* [span_tag] of a core with no open span. *)
+let no_span = min_int
 
 type t = {
   sim : Sim.t;
@@ -84,18 +109,28 @@ type t = {
       (* single machine-wide wakeup at the live balloon's next boundary:
          min(max_period expiry, earliest loan-cap crossing, the instant the
          balloon loses the credit race on its last winning core) *)
-  span_tag : int option array; (* app code of the open trace span per core *)
+  (* event handlers, built once at create: a core's work completion, its
+     planned wakeup and its IPI reschedule, the balloon boundary and the
+     quota refill *)
+  work_fire : (unit -> unit) array;
+  plan_fire : (unit -> unit) array;
+  resched_fire : (unit -> unit) array;
+  mutable balloon_fire : unit -> unit;
+  mutable refill_fire : unit -> unit;
+  span_tag : int array; (* app code of the open trace span per core, or no_span *)
   span_start : Time.t array; (* when each core's open span began *)
   task_entities : (int, Entity.t) Hashtbl.t; (* tid -> entity when unsandboxed *)
-  apps : (int, Task.t list ref) Hashtbl.t;
+  mutable tasks : Task.t list; (* every spawned task not yet reaped, newest first *)
   mutable balloons : balloon list;
   mutable live : balloon option;
   trace : (int * int) Trace.span Trace.t;
   latencies : (int * float) Trace.t; (* (app, wake-to-run us) *)
   mutable stopped : bool;
   share_bus : Share_table.change Bus.t;
+  share_change : Share_table.change; (* the one record [note_share] publishes *)
   share_counts : (int, int) Hashtbl.t; (* app -> cores currently running it *)
   quotas : (int, quota_state) Hashtbl.t;
+  quota_order : Share_table.t; (* the apps in [quotas], in its iteration order *)
   mutable quota_epoch : Time.t option;
       (* grid anchor for refill boundaries (epoch + k * quota_period), fixed
          by the first quota ever set so demand-armed refills land on the
@@ -120,54 +155,10 @@ type t = {
 
 let arm_with = "System.record_history"
 
-let create sim cpu ?(config = default_config) () =
-  let n = Psbox_hw.Cpu.cores cpu in
-  {
-    sim;
-    cpu;
-    cfg = config;
-    rqs = Array.init n (fun core -> Cfs.create ~core);
-    curr_started = Array.make n Time.zero;
-    dispatched = Array.make n Time.zero;
-    work_events = Array.make n Sim.none;
-    plan_events = Array.make n Sim.none;
-    balloon_event = Sim.none;
-    span_tag = Array.make n None;
-    span_start = Array.make n Time.zero;
-    task_entities = Hashtbl.create 64;
-    apps = Hashtbl.create 16;
-    balloons = [];
-    live = None;
-    trace = Trace.create ~reader:"Smp.sched_trace" ~arm_with;
-    latencies = Trace.create ~reader:"Smp wakeup latencies" ~arm_with;
-    stopped = false;
-    share_bus = Bus.create ();
-    share_counts = Hashtbl.create 16;
-    quotas = Hashtbl.create 8;
-    quota_epoch = None;
-    quota_next = Sim.none;
-    tm_switch = Tm.counter "smp.ctx_switches";
-    tm_core_switch =
-      Array.init n (fun core ->
-          Tm.counter (Printf.sprintf "smp.core%d.ctx_switches" core));
-    tm_throttles = Tm.counter "smp.throttles";
-    tm_unthrottles = Tm.counter "smp.unthrottles";
-    tm_wake_lat =
-      Tm.histogram "smp.wakeup_latency_us"
-        ~edges:[| 1.; 10.; 100.; 1_000.; 10_000. |];
-    tm_lanes = Array.init n (Printf.sprintf "core%d");
-    tm_ev_preempt = Tm.counter "sim.events.smp.preempt";
-    tm_ev_rotate = Tm.counter "sim.events.smp.rotate";
-    tm_ev_balloon = Tm.counter "sim.events.smp.balloon_boundary";
-    tm_ev_quota = Tm.counter "sim.events.smp.quota_enforce";
-    tm_ev_refill = Tm.counter "sim.events.smp.quota_refill";
-  }
-
 let cpu smp = smp.cpu
 let cores smp = Array.length smp.rqs
 
-let app_tasks smp ~app =
-  match Hashtbl.find_opt smp.apps app with Some l -> !l | None -> []
+let app_tasks smp ~app = List.filter (fun t -> t.Task.app = app) smp.tasks
 
 let sched_trace smp = smp.trace
 
@@ -179,20 +170,27 @@ let wakeup_latencies_of smp ~app =
   |> List.filter_map (fun (a, l) -> if a = app then Some l else None)
   |> Array.of_list
 
-let balloon_of_app smp app =
-  List.find_opt (fun b -> b.b_app = app) smp.balloons
+let rec balloon_in app = function
+  | [] -> no_balloon
+  | b :: rest -> if b.b_app = app then b else balloon_in app rest
 
-(* The task actually executing inside an entity, if any. *)
+(* The app's balloon, or [no_balloon]. *)
+let find_balloon smp app = balloon_in app smp.balloons
+
+(* The task actually executing inside an entity, or [Task.none]. *)
 let running_task_of e =
   match e.Entity.kind with
-  | Entity.ETask t -> if t.Task.state = Task.Running then Some t else None
+  | Entity.ETask t -> if t.Task.state = Task.Running then t else Task.none
   | Entity.EGroup g -> g.Entity.gcurr
 
 let running_app smp ~core =
-  match Cfs.curr smp.rqs.(core) with
-  | None -> None
-  | Some e -> (
-      match running_task_of e with Some t -> Some t.Task.app | None -> None)
+  let t = running_task_of (Cfs.curr smp.rqs.(core)) in
+  if t == Task.none then None else Some t.Task.app
+
+(* Whether a task of [app] is executing on [core] right now. *)
+let runs_app smp core app =
+  let t = running_task_of (Cfs.curr smp.rqs.(core)) in
+  t != Task.none && t.Task.app = app
 
 (* ------------------------------------------------------------------ *)
 (* Trace spans                                                          *)
@@ -207,52 +205,53 @@ let quota_share_hook : (t -> int -> unit) ref = ref (fun _ _ -> ())
 (* Running-core counts feed the share bus (live attribution): the idle
    tags (-1 / -2) never count, so a balloon-forced-idle core contributes
    no CPU share. Publishing is near-free when nothing subscribes. *)
+let shares_of smp app =
+  match Hashtbl.find smp.share_counts app with
+  | c -> c
+  | exception Not_found -> 0
+
 let note_share smp app delta =
   if app >= 0 then begin
-    let cur =
-      match Hashtbl.find_opt smp.share_counts app with Some c -> c | None -> 0
-    in
-    let nw = cur + delta in
+    let nw = shares_of smp app + delta in
     Hashtbl.replace smp.share_counts app nw;
-    Bus.publish smp.share_bus
-      { Share_table.at = Sim.now smp.sim; app; share = float_of_int nw };
+    let c = smp.share_change in
+    c.Share_table.at <- Sim.now smp.sim;
+    c.Share_table.app <- app;
+    c.Share_table.share <- float_of_int nw;
+    Bus.publish smp.share_bus c;
     if Hashtbl.mem smp.quotas app then !quota_share_hook smp app
   end
 
-let shares_of smp app =
-  match Hashtbl.find_opt smp.share_counts app with Some c -> c | None -> 0
-
+(* Close the core's open span (if any) and open one tagged [tag] (none if
+   [tag = no_span]); a span already open with the same tag stays open. *)
 let set_span smp core tag =
   let now = Sim.now smp.sim in
-  match (smp.span_tag.(core), tag) with
-  | Some a, Some b when a = b -> ()
-  | old, _ ->
-      (match old with
-      | Some a ->
-          let t0 = smp.span_start.(core) in
-          if Tt.recording () then
-            Tt.span ~track:cfs_track ~lane:smp.tm_lanes.(core)
-              ~name:(app_label a) ~start:t0 ~stop:now ();
-          if Trace.armed smp.trace then
-            Trace.record smp.trace
-              { Trace.start = t0; stop = now; tag = (core, a) };
-          note_share smp a (-1)
-      | None -> ());
-      (match tag with
-      | Some b ->
-          smp.span_start.(core) <- now;
-          note_share smp b 1
-      | None -> ());
-      Tm.incr smp.tm_switch;
-      Tm.incr smp.tm_core_switch.(core);
-      smp.span_tag.(core) <- tag
+  let old = smp.span_tag.(core) in
+  if not (old <> no_span && old = tag) then begin
+    if old <> no_span then begin
+      let t0 = smp.span_start.(core) in
+      if Tt.recording () then
+        Tt.span ~track:cfs_track ~lane:smp.tm_lanes.(core)
+          ~name:(app_label old) ~start:t0 ~stop:now ();
+      if Trace.armed smp.trace then
+        Trace.record smp.trace
+          { Trace.start = t0; stop = now; tag = (core, old) };
+      note_share smp old (-1)
+    end;
+    if tag <> no_span then begin
+      smp.span_start.(core) <- now;
+      note_share smp tag 1
+    end;
+    Tm.incr smp.tm_switch;
+    Tm.incr smp.tm_core_switch.(core);
+    smp.span_tag.(core) <- tag
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Core scheduling machinery                                           *)
 
 (* Physical identity between the rq's current entity and [e]. *)
-let curr_is rq e =
-  match Cfs.curr rq with Some c -> c == e | None -> false
+let curr_is rq e = Cfs.curr rq == e
 
 let cancel_work smp core =
   Sim.cancel smp.sim smp.work_events.(core);
@@ -262,9 +261,9 @@ let cancel_work smp core =
    throttled: balloon groups answer to the psbox coscheduling machinery,
    not to the budget controller. *)
 let throttled_app smp app =
-  match Hashtbl.find_opt smp.quotas app with
-  | Some q -> q.q_throttled
-  | None -> false
+  match Hashtbl.find smp.quotas app with
+  | q -> q.q_throttled
+  | exception Not_found -> false
 
 let entity_throttled smp e =
   match e.Entity.kind with
@@ -273,27 +272,27 @@ let entity_throttled smp e =
 
 let update_curr smp core =
   let rq = smp.rqs.(core) in
-  match Cfs.curr rq with
-  | None -> ()
-  | Some e ->
-      let now = Sim.now smp.sim in
-      let delta = now - smp.curr_started.(core) in
-      if delta > 0 then begin
-        let forced_idle =
-          match e.Entity.kind with
-          | Entity.EGroup g -> g.Entity.gcurr = None
-          | Entity.ETask _ -> false
-        in
-        if smp.cfg.confine_cost || not forced_idle then Cfs.charge rq e delta;
-        (match running_task_of e with
-        | Some t -> (
-            t.Task.remaining <- t.Task.remaining - delta;
-            match Hashtbl.find_opt smp.quotas t.Task.app with
-            | Some q -> q.q_used <- q.q_used + delta
-            | None -> ())
-        | None -> ());
-        smp.curr_started.(core) <- now
-      end
+  let e = Cfs.curr rq in
+  if e != Entity.none then begin
+    let now = Sim.now smp.sim in
+    let delta = now - smp.curr_started.(core) in
+    if delta > 0 then begin
+      let forced_idle =
+        match e.Entity.kind with
+        | Entity.EGroup g -> g.Entity.gcurr == Task.none
+        | Entity.ETask _ -> false
+      in
+      if smp.cfg.confine_cost || not forced_idle then Cfs.charge rq e delta;
+      let t = running_task_of e in
+      if t != Task.none then begin
+        t.Task.remaining <- t.Task.remaining - delta;
+        match Hashtbl.find smp.quotas t.Task.app with
+        | q -> q.q_used <- q.q_used + delta
+        | exception Not_found -> ()
+      end;
+      smp.curr_started.(core) <- now
+    end
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Demand-driven wakeup planning                                        *)
@@ -319,7 +318,7 @@ let curr_vruntime_now smp core e =
   let delta = Sim.now smp.sim - smp.curr_started.(core) in
   let charging =
     match e.Entity.kind with
-    | Entity.EGroup g -> smp.cfg.confine_cost || g.Entity.gcurr <> None
+    | Entity.EGroup g -> smp.cfg.confine_cost || g.Entity.gcurr != Task.none
     | Entity.ETask _ -> true
   in
   if delta <= 0 || not charging then e.Entity.vruntime.ns
@@ -337,22 +336,42 @@ let ns_until_dv ~weight dv =
       int_of_float dt + 1
     else plan_horizon
 
+(* The earliest instant, from [acc] ([max_int] for none), at which a
+   runnable sibling of [t] in [tasks] undercuts [t]'s vruntime [v], which
+   grows from [now] on. [Entity.group_pick] breaks vruntime ties by list
+   order, so a tie may keep the current task: re-check >= 1 ns later,
+   never at the same instant. *)
+let rec earliest_crossing t v now acc = function
+  | [] -> acc
+  | t' :: rest ->
+      let acc =
+        if t'.Task.tid <> t.Task.tid && Task.is_runnable t' then
+          let dv = t'.Task.vruntime.ns -. v in
+          let at =
+            if dv < 0.0 then now
+            else now + max 1 (ns_until_dv ~weight:t.Task.weight dv)
+          in
+          min acc at
+        else acc
+      in
+      earliest_crossing t v now acc rest
+
 let put_prev smp core =
   let rq = smp.rqs.(core) in
-  match Cfs.curr rq with
-  | None -> ()
-  | Some e ->
-      cancel_work smp core;
-      (match running_task_of e with
-      | Some t -> if t.Task.state = Task.Running then t.Task.state <- Task.Runnable
-      | None -> ());
-      (match e.Entity.kind with
-      | Entity.EGroup g -> g.Entity.gcurr <- None
-      | Entity.ETask _ -> ());
-      Cfs.set_curr rq None;
-      if Entity.runnable e && not (entity_throttled smp e) then Cfs.enqueue rq e;
-      Psbox_hw.Cpu.set_core_busy smp.cpu ~core false;
-      set_span smp core None
+  let e = Cfs.curr rq in
+  if e != Entity.none then begin
+    cancel_work smp core;
+    let t = running_task_of e in
+    if t != Task.none && t.Task.state = Task.Running then
+      t.Task.state <- Task.Runnable;
+    (match e.Entity.kind with
+    | Entity.EGroup g -> g.Entity.gcurr <- Task.none
+    | Entity.ETask _ -> ());
+    Cfs.set_curr rq Entity.none;
+    if Entity.runnable e && not (entity_throttled smp e) then Cfs.enqueue rq e;
+    Psbox_hw.Cpu.set_core_busy smp.cpu ~core false;
+    set_span smp core no_span
+  end
 
 (* Program advancement: drive a task's program until it yields an action
    that leaves the CPU or new work to run. Returns [`Runs] if the task has
@@ -375,15 +394,11 @@ let rec advance smp t fuel =
       end
   | Task.Sleep s ->
       t.Task.state <- Task.Blocked;
-      let smp' = smp in
-      ignore (Sim.schedule_after smp.sim s (fun () -> wake_ref smp' t));
+      ignore (Sim.schedule_after smp.sim s t.Task.on_wake);
       `Off
   | Task.Exit ->
       t.Task.state <- Task.Exited;
       `Off
-
-and wake_ref smp t = !wake_impl smp t
-and wake_impl : (t -> Task.t -> unit) ref = ref (fun _ _ -> assert false)
 
 let record_latency smp t =
   if t.Task.last_wake >= 0 then begin
@@ -400,47 +415,40 @@ let record_latency smp t =
 let rec schedule_work smp core t =
   cancel_work smp core;
   let span = max 0 t.Task.remaining in
-  smp.work_events.(core) <- Sim.schedule_after smp.sim span (fun () -> work_fired smp core)
+  smp.work_events.(core) <- Sim.schedule_after smp.sim span smp.work_fire.(core)
 
 and work_fired smp core =
   smp.work_events.(core) <- Sim.none;
   update_curr smp core;
-  let rq = smp.rqs.(core) in
-  match Cfs.curr rq with
-  | None -> ()
-  | Some e -> (
-      match running_task_of e with
-      | Some t when t.Task.remaining <= 0 -> (
-          match advance smp t 10_000 with
-          | `Runs -> schedule_work smp core t
-          | `Off ->
-              if t.Task.state = Task.Exited then reap smp t;
-              resched smp core)
-      | Some _ | None -> ())
+  let t = running_task_of (Cfs.curr smp.rqs.(core)) in
+  if t != Task.none && t.Task.remaining <= 0 then
+    match advance smp t 10_000 with
+    | `Runs -> schedule_work smp core t
+    | `Off ->
+        if t.Task.state = Task.Exited then reap smp t;
+        resched smp core
 
 and reap smp t =
-  (* Remove an exited task from its app roster and any group. *)
-  (match Hashtbl.find_opt smp.apps t.Task.app with
-  | Some l -> l := List.filter (fun t' -> t'.Task.tid <> t.Task.tid) !l
-  | None -> ());
-  (match balloon_of_app smp t.Task.app with
-  | Some b ->
-      Array.iter
-        (fun e ->
-          match e.Entity.kind with
-          | Entity.EGroup g ->
-              g.Entity.gtasks <-
-                List.filter (fun t' -> t'.Task.tid <> t.Task.tid) g.Entity.gtasks
-          | Entity.ETask _ -> ())
-        b.b_entities
-  | None -> Hashtbl.remove smp.task_entities t.Task.tid)
+  (* Remove an exited task from the roster and any group. *)
+  smp.tasks <- List.filter (fun t' -> t'.Task.tid <> t.Task.tid) smp.tasks;
+  let b = find_balloon smp t.Task.app in
+  if b != no_balloon then
+    Array.iter
+      (fun e ->
+        match e.Entity.kind with
+        | Entity.EGroup g ->
+            g.Entity.gtasks <-
+              List.filter (fun t' -> t'.Task.tid <> t.Task.tid) g.Entity.gtasks
+        | Entity.ETask _ -> ())
+      b.b_entities
+  else Hashtbl.remove smp.task_entities t.Task.tid
 
 and start_task smp core t =
   t.Task.state <- Task.Running;
   t.Task.core <- core;
   record_latency smp t;
   Psbox_hw.Cpu.set_core_busy smp.cpu ~core true;
-  set_span smp core (Some t.Task.app);
+  set_span smp core t.Task.app;
   schedule_work smp core t
 
 and run smp core next =
@@ -448,114 +456,105 @@ and run smp core next =
   (* every dispatch decision changes what the next interesting instant is *)
   replan smp core
 
-and do_run smp core next =
+and do_run smp core e =
   let rq = smp.rqs.(core) in
-  match next with
-  | None ->
-      Psbox_hw.Cpu.set_core_busy smp.cpu ~core false;
-      set_span smp core (Some (-1))
-  | Some e -> (
-      Cfs.dequeue rq e;
-      Cfs.set_curr rq (Some e);
-      smp.curr_started.(core) <- Sim.now smp.sim;
-      smp.dispatched.(core) <- Sim.now smp.sim;
-      match e.Entity.kind with
-      | Entity.ETask t -> start_task smp core t
-      | Entity.EGroup g -> (
-          match Entity.group_pick g with
-          | Some t ->
-              g.Entity.gcurr <- Some t;
-              start_task smp core t
-          | None ->
-              g.Entity.gcurr <- None;
-              Psbox_hw.Cpu.set_core_busy smp.cpu ~core false;
-              set_span smp core (Some (-2));
-              (* a balloon whose app has nothing runnable anywhere should
-                 not hold the machine idle until the next tick *)
-              (match smp.live with
-              | Some b when not (Array.exists Entity.runnable b.b_entities) ->
-                  ignore
-                    (Sim.schedule_after smp.sim 0 (fun () ->
-                         if
-                           b.b_live
-                           && not (Array.exists Entity.runnable b.b_entities)
-                         then cosched_out smp b))
-              | _ -> ())))
+  if e == Entity.none then begin
+    Psbox_hw.Cpu.set_core_busy smp.cpu ~core false;
+    set_span smp core (-1)
+  end
+  else begin
+    Cfs.dequeue rq e;
+    Cfs.set_curr rq e;
+    smp.curr_started.(core) <- Sim.now smp.sim;
+    smp.dispatched.(core) <- Sim.now smp.sim;
+    match e.Entity.kind with
+    | Entity.ETask t -> start_task smp core t
+    | Entity.EGroup g -> (
+        let t = Entity.group_pick g in
+        g.Entity.gcurr <- t;
+        if t != Task.none then start_task smp core t
+        else begin
+          Psbox_hw.Cpu.set_core_busy smp.cpu ~core false;
+          set_span smp core (-2);
+          (* a balloon whose app has nothing runnable anywhere should
+             not hold the machine idle until the next tick *)
+          match smp.live with
+          | Some b when not (Array.exists Entity.runnable b.b_entities) ->
+              ignore (Sim.schedule_after smp.sim 0 b.b_idle_check)
+          | _ -> ()
+        end)
+  end
 
 and pick_next smp core =
   match smp.live with
-  | Some b -> Some b.b_entities.(core)
+  | Some b -> b.b_entities.(core)
   | None -> Cfs.leftmost smp.rqs.(core)
 
 (* Idle-pull load balancing: an idling core steals a waiting task entity
    from a core that is already running something else. Balloon groups are
    never migrated (their cores are fixed by construction). Migration
    re-bases the vruntime on the destination queue, as CFS does. *)
-and assigned_load smp core =
-  Hashtbl.fold
-    (fun _ roster acc ->
-      List.fold_left
-        (fun acc t ->
-          if t.Task.core = core && t.Task.state <> Task.Exited then acc + 1
-          else acc)
-        acc !roster)
-    smp.apps 0
+and assigned_load smp core = count_assigned core 0 smp.tasks
+
+and count_assigned core n = function
+  | [] -> n
+  | t :: rest ->
+      let n =
+        if t.Task.core = core && t.Task.state <> Task.Exited then n + 1 else n
+      in
+      count_assigned core n rest
 
 and try_steal smp core =
   match smp.live with
-  | Some _ -> None
+  | Some _ -> Entity.none
   | None when smp.balloons <> [] ->
       (* while any app is sandboxed, migrations would scramble the per-core
          loan bookkeeping that keeps coscheduling fair *)
-      None
-  | None -> (
-      let found = ref None in
+      Entity.none
+  | None ->
+      let found = ref Entity.none and from = ref 0 in
       let my_load = assigned_load smp core in
       for j = 0 to cores smp - 1 do
-        if j <> core && !found = None then begin
+        if j <> core && !found == Entity.none then begin
           let rqj = smp.rqs.(j) in
-          let victim_busy =
-            match Cfs.curr rqj with Some _ -> true | None -> false
-          in
+          let victim_busy = Cfs.curr rqj != Entity.none in
           (* steal only when it moves the assigned-task counts toward
              balance — a core full of briefly-sleeping tasks is not idle
              capacity, and count drift would clump apps onto one core *)
           if victim_busy && assigned_load smp j >= my_load + 2 then
-            List.iter
-              (fun e ->
-                match e.Entity.kind with
-                | Entity.ETask t when Task.is_runnable t && !found = None ->
-                    found := Some (j, e, t)
-                | Entity.ETask _ | Entity.EGroup _ -> ())
-              (Cfs.queued rqj)
+            for i = 0 to Cfs.n_queued rqj - 1 do
+              let e = Cfs.nth rqj i in
+              match e.Entity.kind with
+              | Entity.ETask t when Task.is_runnable t && !found == Entity.none ->
+                  found := e;
+                  from := j
+              | Entity.ETask _ | Entity.EGroup _ -> ()
+            done
         end
       done;
-      match !found with
-      | Some (j, e, t) ->
-          let rqj = smp.rqs.(j) in
+      let e = !found in
+      (match e.Entity.kind with
+      | Entity.ETask t when e != Entity.none ->
+          let rqj = smp.rqs.(!from) in
           Cfs.dequeue rqj e;
           t.Task.core <- core;
           e.Entity.vruntime.ns <-
             e.Entity.vruntime.ns -. Cfs.min_vruntime rqj
             +. Cfs.min_vruntime smp.rqs.(core);
-          t.Task.vruntime.ns <- e.Entity.vruntime.ns;
-          Some e
-      | None -> None)
+          t.Task.vruntime.ns <- e.Entity.vruntime.ns
+      | Entity.ETask _ | Entity.EGroup _ -> ());
+      e
 
 and resched smp core =
   update_curr smp core;
   put_prev smp core;
-  let next =
-    match pick_next smp core with
-    | Some e -> Some e
-    | None -> try_steal smp core
-  in
-  (match (next, smp.live) with
-  | Some e, None when Entity.is_group e -> (
-      match balloon_of_app smp (Entity.app_of e) with
-      | Some b -> start_balloon smp core b
-      | None -> ())
-  | _ -> ());
+  let next = pick_next smp core in
+  let next = if next == Entity.none then try_steal smp core else next in
+  (match smp.live with
+  | None when next != Entity.none && Entity.is_group next ->
+      let b = find_balloon smp (Entity.app_of next) in
+      if b != no_balloon then start_balloon smp core b
+  | Some _ | None -> ());
   run smp core next
 
 (* ------------------------------------------------------------------ *)
@@ -581,9 +580,7 @@ and start_balloon smp core b =
   else
     for j = 0 to cores smp - 1 do
       if j <> core then
-        ignore
-          (Sim.schedule_after smp.sim smp.cfg.ipi_delay (fun () ->
-               join_balloon smp b j))
+        ignore (Sim.schedule_after smp.sim smp.cfg.ipi_delay b.b_join.(j))
     done
 
 and join_balloon smp b j =
@@ -593,13 +590,13 @@ and join_balloon smp b j =
     let e = b.b_entities.(j) in
     (* initial loan: what E_j must borrow to beat the core's best runnable *)
     let best = Cfs.best_other smp.rqs.(j) e in
-    (match (e.Entity.kind, best) with
-    | Entity.EGroup g, Some best ->
+    (match e.Entity.kind with
+    | Entity.EGroup g when best != Entity.none ->
         g.Entity.loan <-
           Float.max g.Entity.loan
             (Float.max 0.0 (e.Entity.vruntime.ns -. best.Entity.vruntime.ns))
-    | _ -> ());
-    run smp j (Some e);
+    | Entity.EGroup _ | Entity.ETask _ -> ());
+    run smp j e;
     b.b_joined <- b.b_joined + 1;
     if b.b_joined = cores smp then begin
       b.b_started <- Sim.now smp.sim;
@@ -609,7 +606,7 @@ and join_balloon smp b j =
     end
   end
 
-and cosched_out smp ?(local = 0) b =
+and cosched_out smp ~local b =
   cancel_balloon_event smp;
   for i = 0 to cores smp - 1 do
     update_curr smp i
@@ -619,12 +616,12 @@ and cosched_out smp ?(local = 0) b =
   for i = 0 to cores smp - 1 do
     let e = b.b_entities.(i) in
     let best = Cfs.best_other smp.rqs.(i) e in
-    match (e.Entity.kind, best) with
-    | Entity.EGroup g, Some best ->
+    match e.Entity.kind with
+    | Entity.EGroup g when best != Entity.none ->
         g.Entity.loan <-
           Float.max g.Entity.loan
             (e.Entity.vruntime.ns -. best.Entity.vruntime.ns)
-    | _ -> ()
+    | Entity.EGroup _ | Entity.ETask _ -> ()
   done;
   b.b_live <- false;
   smp.live <- None;
@@ -638,28 +635,32 @@ and cosched_out smp ?(local = 0) b =
     b.b_on_stop ()
   end;
   (* loan redistribution: entities evenly split the period's total loan *)
-  let groups =
-    Array.to_list b.b_entities
-    |> List.filter_map (fun e ->
-           match e.Entity.kind with
-           | Entity.EGroup g -> Some (e, g)
-           | Entity.ETask _ -> None)
-  in
-  let total = List.fold_left (fun acc (_, g) -> acc +. g.Entity.loan) 0.0 groups in
+  let total = ref 0.0 and groups = ref 0 in
+  for i = 0 to Array.length b.b_entities - 1 do
+    match b.b_entities.(i).Entity.kind with
+    | Entity.EGroup g ->
+        total := !total +. g.Entity.loan;
+        incr groups
+    | Entity.ETask _ -> ()
+  done;
+  let total = !total in
   b.b_total_loan <- b.b_total_loan +. total;
-  let n = float_of_int (List.length groups) in
-  List.iter
-    (fun (e, g) ->
-      if smp.cfg.confine_cost then
-        e.Entity.vruntime.ns <-
-          e.Entity.vruntime.ns +. ((total /. n) -. g.Entity.loan);
-      g.Entity.loan <- 0.0)
-    groups;
+  let n = float_of_int !groups in
+  for i = 0 to Array.length b.b_entities - 1 do
+    let e = b.b_entities.(i) in
+    match e.Entity.kind with
+    | Entity.EGroup g ->
+        if smp.cfg.confine_cost then
+          e.Entity.vruntime.ns <-
+            e.Entity.vruntime.ns +. ((total /. n) -. g.Entity.loan);
+        g.Entity.loan <- 0.0
+    | Entity.ETask _ -> ()
+  done;
   (* schedule out everywhere: local core now, remote cores after the IPI *)
   resched smp local;
   for j = 0 to cores smp - 1 do
     if j <> local then
-      ignore (Sim.schedule_after smp.sim smp.cfg.ipi_delay (fun () -> resched smp j))
+      ignore (Sim.schedule_after smp.sim smp.cfg.ipi_delay smp.resched_fire.(j))
   done
 
 (* Balloon bookkeeping on the designated tick: loan growth and the
@@ -670,28 +671,26 @@ and balloon_tick smp ~local b =
   for i = 0 to n - 1 do
     let e = b.b_entities.(i) in
     let best = Cfs.best_other smp.rqs.(i) e in
-    match best with
-    | None -> incr wins
-    | Some best ->
-        if e.Entity.vruntime.ns <= best.Entity.vruntime.ns then incr wins
-        else begin
-          match e.Entity.kind with
-          | Entity.EGroup g ->
-              g.Entity.loan <-
-                Float.max g.Entity.loan
-                  (e.Entity.vruntime.ns -. best.Entity.vruntime.ns)
-          | Entity.ETask _ -> ()
-        end
+    if best == Entity.none then incr wins
+    else if e.Entity.vruntime.ns <= best.Entity.vruntime.ns then incr wins
+    else begin
+      match e.Entity.kind with
+      | Entity.EGroup g ->
+          g.Entity.loan <-
+            Float.max g.Entity.loan
+              (e.Entity.vruntime.ns -. best.Entity.vruntime.ns)
+      | Entity.ETask _ -> ()
+    end
   done;
   let any_runnable = Array.exists Entity.runnable b.b_entities in
-  let loan_capped =
-    Array.exists
-      (fun e ->
-        match e.Entity.kind with
-        | Entity.EGroup g -> g.Entity.loan > smp.cfg.max_loan
-        | Entity.ETask _ -> false)
-      b.b_entities
-  in
+  let loan_capped = ref false in
+  for i = 0 to n - 1 do
+    match b.b_entities.(i).Entity.kind with
+    | Entity.EGroup g ->
+        if g.Entity.loan > smp.cfg.max_loan then loan_capped := true
+    | Entity.ETask _ -> ()
+  done;
+  let loan_capped = !loan_capped in
   let over_period = Sim.now smp.sim - b.b_started > smp.cfg.max_period in
   if !wins = 0 || loan_capped || over_period || not any_runnable then
     cosched_out smp ~local b
@@ -699,18 +698,14 @@ and balloon_tick smp ~local b =
 (* Rotate the inner task of a balloon group when a sibling has less
    vruntime, or start one if the core sits idle with runnable members. *)
 and inner_rotate smp core =
-  let rq = smp.rqs.(core) in
-  match Cfs.curr rq with
-  | Some e -> (
-      match e.Entity.kind with
-      | Entity.EGroup g -> (
-          match (g.Entity.gcurr, Entity.group_pick g) with
-          | None, Some _ -> resched smp core
-          | Some curr_t, Some best when best.Task.tid <> curr_t.Task.tid ->
-              resched smp core
-          | _ -> ())
-      | Entity.ETask _ -> ())
-  | None -> ()
+  match (Cfs.curr smp.rqs.(core)).Entity.kind with
+  | Entity.EGroup g ->
+      let best = Entity.group_pick g and curr_t = g.Entity.gcurr in
+      if
+        best != Task.none
+        && (curr_t == Task.none || best.Task.tid <> curr_t.Task.tid)
+      then resched smp core
+  | Entity.ETask _ -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Demand wakeups (replacing the periodic tick)
@@ -734,13 +729,13 @@ and replan_core smp core =
   if not smp.stopped then begin
     let rq = smp.rqs.(core) in
     let now = Sim.now smp.sim in
-    match (Cfs.curr rq, Cfs.leftmost rq) with
-    | None, Some _ ->
-        (* idle core with queued work: pick it up this instant (the
-           polling scheduler waited for the next tick) *)
-        smp.plan_events.(core) <-
-          Sim.schedule_at smp.sim now (fun () -> plan_fired smp core)
-    | Some c, Some l ->
+    let c = Cfs.curr rq and l = Cfs.leftmost rq in
+    if l == Entity.none then ()
+    else if c == Entity.none then
+      (* idle core with queued work: pick it up this instant (the
+         polling scheduler waited for the next tick) *)
+      smp.plan_events.(core) <- Sim.schedule_at smp.sim now smp.plan_fire.(core)
+    else begin
         (* the instant the waiter's static vruntime undercuts the runner's
            growing one, floored by one tick as the minimum quantum. The
            preemption test is strict, so a tie must re-check >= 1 ns later
@@ -751,7 +746,7 @@ and replan_core smp core =
         let dv = l.Entity.vruntime.ns -. v in
         let charging =
           match c.Entity.kind with
-          | Entity.EGroup g -> smp.cfg.confine_cost || g.Entity.gcurr <> None
+          | Entity.EGroup g -> smp.cfg.confine_cost || g.Entity.gcurr != Task.none
           | Entity.ETask _ -> true
         in
         let at =
@@ -760,9 +755,8 @@ and replan_core smp core =
           else now + max 1 (ns_until_dv ~weight:c.Entity.weight dv)
         in
         let at = max at (smp.dispatched.(core) + smp.cfg.tick) in
-        smp.plan_events.(core) <-
-          Sim.schedule_at smp.sim at (fun () -> plan_fired smp core)
-    | (Some _ | None), None -> ()
+        smp.plan_events.(core) <- Sim.schedule_at smp.sim at smp.plan_fire.(core)
+    end
   end
 
 (* Next inner-rotation instant of a live balloon's group on [core]: the
@@ -771,50 +765,31 @@ and replan_core smp core =
 and replan_rotate smp core =
   cancel_plan smp core;
   if not smp.stopped then begin
-    let rq = smp.rqs.(core) in
-    match Cfs.curr rq with
-    | Some { Entity.kind = Entity.EGroup g; _ } -> (
+    match (Cfs.curr smp.rqs.(core)).Entity.kind with
+    | Entity.EGroup g ->
         let now = Sim.now smp.sim in
-        match g.Entity.gcurr with
-        | None -> (
-            match Entity.group_pick g with
-            | Some _ ->
-                smp.plan_events.(core) <-
-                  Sim.schedule_at smp.sim now (fun () -> plan_fired smp core)
-            | None -> ())
-        | Some t ->
-            let delta = now - smp.curr_started.(core) in
-            let v =
-              if delta <= 0 then t.Task.vruntime.ns
-              else
-                t.Task.vruntime.ns
-                +. (float_of_int delta *. Cfs.nice0_weight /. t.Task.weight)
-            in
-            let next =
-              List.fold_left
-                (fun acc t' ->
-                  if t'.Task.tid <> t.Task.tid && Task.is_runnable t' then
-                    (* [group_pick] breaks vruntime ties by list order, so a
-                       tie may keep the current task — re-check >= 1 ns
-                       later, never at the same instant *)
-                    let dv = t'.Task.vruntime.ns -. v in
-                    let at =
-                      if dv < 0.0 then now
-                      else now + max 1 (ns_until_dv ~weight:t.Task.weight dv)
-                    in
-                    match acc with
-                    | None -> Some at
-                    | Some a -> Some (min a at)
-                  else acc)
-                None g.Entity.gtasks
-            in
-            (match next with
-            | Some at ->
-                let at = max at (smp.dispatched.(core) + smp.cfg.tick) in
-                smp.plan_events.(core) <-
-                  Sim.schedule_at smp.sim at (fun () -> plan_fired smp core)
-            | None -> ()))
-    | Some _ | None -> ()
+        let t = g.Entity.gcurr in
+        if t == Task.none then begin
+          if Entity.group_pick g != Task.none then
+            smp.plan_events.(core) <-
+              Sim.schedule_at smp.sim now smp.plan_fire.(core)
+        end
+        else begin
+          let delta = now - smp.curr_started.(core) in
+          let v =
+            if delta <= 0 then t.Task.vruntime.ns
+            else
+              t.Task.vruntime.ns
+              +. (float_of_int delta *. Cfs.nice0_weight /. t.Task.weight)
+          in
+          let next = earliest_crossing t v now max_int g.Entity.gtasks in
+          if next <> max_int then begin
+            let at = max next (smp.dispatched.(core) + smp.cfg.tick) in
+            smp.plan_events.(core) <-
+              Sim.schedule_at smp.sim at smp.plan_fire.(core)
+          end
+        end
+    | Entity.ETask _ -> ()
   end
 
 and plan_fired smp core =
@@ -830,11 +805,13 @@ and plan_fired smp core =
     | Some _ | None -> (
         Tm.incr smp.tm_ev_preempt;
         let rq = smp.rqs.(core) in
-        match (Cfs.curr rq, Cfs.leftmost rq) with
-        | Some c, Some l when l.Entity.vruntime.ns < c.Entity.vruntime.ns ->
-            resched smp core
-        | None, Some _ -> resched smp core
-        | _ -> replan_core smp core)
+        let c = Cfs.curr rq and l = Cfs.leftmost rq in
+        if
+          l != Entity.none
+          && (c == Entity.none
+             || l.Entity.vruntime.ns < c.Entity.vruntime.ns)
+        then resched smp core
+        else replan_core smp core)
   end
 
 (* One machine-wide wakeup at the live balloon's next boundary:
@@ -848,9 +825,9 @@ and replan_balloon smp b =
   if (not smp.stopped) && b.b_live && b.b_metering then begin
     let now = Sim.now smp.sim in
     let at = ref (b.b_started + smp.cfg.max_period + 1) in
-    (* running max of per-core win-loss instants; None = some core has no
+    (* running max of per-core win-loss instants, unless some core has no
        waiter, so wins can never reach zero *)
-    let lose_all = ref (Some now) in
+    let lose_all = ref now and can_lose = ref true in
     for i = 0 to cores smp - 1 do
       let e = b.b_entities.(i) in
       let rq = smp.rqs.(i) in
@@ -859,42 +836,37 @@ and replan_balloon smp b =
         curr_is rq e
         &&
         match e.Entity.kind with
-        | Entity.EGroup g -> smp.cfg.confine_cost || g.Entity.gcurr <> None
+        | Entity.EGroup g -> smp.cfg.confine_cost || g.Entity.gcurr != Task.none
         | Entity.ETask _ -> true
       in
       let v =
         if curr_is rq e then curr_vruntime_now smp i e else e.Entity.vruntime.ns
       in
-      match best with
-      | None -> lose_all := None
-      | Some best ->
-          let dv = best.Entity.vruntime.ns -. v in
-          let t_lose =
-            if dv < 0.0 then now
-            else if charging then
-              now + max 1 (ns_until_dv ~weight:e.Entity.weight dv)
-            else now + plan_horizon
-          in
-          (match !lose_all with
-          | Some acc -> lose_all := Some (max acc t_lose)
-          | None -> ());
-          (match e.Entity.kind with
-          | Entity.EGroup g ->
-              if g.Entity.loan > smp.cfg.max_loan then at := min !at now
-              else if charging then begin
-                let dv_cap = smp.cfg.max_loan +. best.Entity.vruntime.ns -. v in
-                at :=
-                  min !at
-                    (now + max 1 (ns_until_dv ~weight:e.Entity.weight dv_cap))
-              end
-          | Entity.ETask _ -> ())
+      if best == Entity.none then can_lose := false
+      else begin
+        let dv = best.Entity.vruntime.ns -. v in
+        let t_lose =
+          if dv < 0.0 then now
+          else if charging then
+            now + max 1 (ns_until_dv ~weight:e.Entity.weight dv)
+          else now + plan_horizon
+        in
+        if !can_lose then lose_all := max !lose_all t_lose;
+        match e.Entity.kind with
+        | Entity.EGroup g ->
+            if g.Entity.loan > smp.cfg.max_loan then at := min !at now
+            else if charging then begin
+              let dv_cap = smp.cfg.max_loan +. best.Entity.vruntime.ns -. v in
+              at :=
+                min !at
+                  (now + max 1 (ns_until_dv ~weight:e.Entity.weight dv_cap))
+            end
+        | Entity.ETask _ -> ()
+      end
     done;
-    (match !lose_all with
-    | Some t -> at := min !at (max t now)
-    | None -> ());
+    if !can_lose then at := min !at (max !lose_all now);
     let at = min !at (now + plan_horizon) in
-    smp.balloon_event <-
-      Sim.schedule_at smp.sim (max at now) (fun () -> balloon_fired smp)
+    smp.balloon_event <- Sim.schedule_at smp.sim (max at now) smp.balloon_fire
   end
 
 and balloon_fired smp =
@@ -915,12 +887,11 @@ and balloon_fired smp =
            balloon forever, starving a competing sandbox.) *)
         let local = ref 0 and best_v = ref infinity in
         for i = 0 to cores smp - 1 do
-          let e = b.b_entities.(i) in
-          match Cfs.best_other smp.rqs.(i) e with
-          | Some w when w.Entity.vruntime.ns < !best_v ->
-              best_v := w.Entity.vruntime.ns;
-              local := i
-          | Some _ | None -> ()
+          let w = Cfs.best_other smp.rqs.(i) b.b_entities.(i) in
+          if w != Entity.none && w.Entity.vruntime.ns < !best_v then begin
+            best_v := w.Entity.vruntime.ns;
+            local := i
+          end
         done;
         balloon_tick smp ~local:!local b;
         if b.b_live then replan_balloon smp b
@@ -943,17 +914,16 @@ let throttle smp app q =
       (Sim.now smp.sim);
   for core = 0 to cores smp - 1 do
     let rq = smp.rqs.(core) in
-    List.iter
-      (fun e ->
-        match e.Entity.kind with
-        | Entity.ETask t when t.Task.app = app -> Cfs.dequeue rq e
-        | Entity.ETask _ | Entity.EGroup _ -> ())
-      (Cfs.queued rq)
+    (* from the back, so a dequeue shifts only entities already seen *)
+    for i = Cfs.n_queued rq - 1 downto 0 do
+      let e = Cfs.nth rq i in
+      match e.Entity.kind with
+      | Entity.ETask t when t.Task.app = app -> Cfs.dequeue rq e
+      | Entity.ETask _ | Entity.EGroup _ -> ()
+    done
   done;
   for core = 0 to cores smp - 1 do
-    match running_app smp ~core with
-    | Some a when a = app -> resched smp core
-    | Some _ | None -> ()
+    if runs_app smp core app then resched smp core
   done
 
 (* ------------------------------------------------------------------ *)
@@ -978,17 +948,15 @@ let stop smp =
     smp.quotas;
   Sim.cancel smp.sim smp.quota_next;
   smp.quota_next <- Sim.none;
-  (match smp.live with Some b -> cosched_out smp b | None -> ());
+  (match smp.live with Some b -> cosched_out smp ~local:0 b | None -> ());
   (* close every core's open span in the history *)
   if Trace.armed smp.trace && not was_stopped then begin
     let now = Sim.now smp.sim in
     Array.iteri
       (fun core tag ->
-        match tag with
-        | Some a ->
-            Trace.record smp.trace
-              { Trace.start = smp.span_start.(core); stop = now; tag = (core, a) }
-        | None -> ())
+        if tag <> no_span then
+          Trace.record smp.trace
+            { Trace.start = smp.span_start.(core); stop = now; tag = (core, tag) })
       smp.span_tag
   end
 
@@ -1003,18 +971,15 @@ let preempt_check smp core e =
       replan_balloon smp b
   | Some _ -> ()
   | None -> (
-      let rq = smp.rqs.(core) in
-      match Cfs.curr rq with
-      | None -> resched smp core
-      | Some c ->
-          if
-            e.Entity.vruntime.ns +. smp.cfg.wakeup_granularity
-            < c.Entity.vruntime.ns
-          then resched smp core
-          else
-            (* no immediate preemption; the crossing with the new waiter
-               still needs a planned wakeup *)
-            replan_core smp core)
+      let c = Cfs.curr smp.rqs.(core) in
+      if c == Entity.none then resched smp core
+      else if
+        e.Entity.vruntime.ns +. smp.cfg.wakeup_granularity < c.Entity.vruntime.ns
+      then resched smp core
+      else
+        (* no immediate preemption; the crossing with the new waiter
+           still needs a planned wakeup *)
+        replan_core smp core)
 
 let wake smp t =
   match t.Task.state with
@@ -1023,26 +988,27 @@ let wake smp t =
       t.Task.last_wake <- Sim.now smp.sim;
       let core = t.Task.core in
       let rq = smp.rqs.(core) in
-      match balloon_of_app smp t.Task.app with
-      | Some b -> (
-          let e = b.b_entities.(core) in
-          match smp.live with
-          | Some b' when b' == b ->
-              (* already forced in; make sure the core picks the waker up,
-                 or re-aim the rotation plan at the new runnable member *)
-              if curr_is rq e then
-                (match e.Entity.kind with
-                | Entity.EGroup g ->
-                    if g.Entity.gcurr = None then resched smp core
-                    else replan smp core
-                | Entity.ETask _ -> ())
-          | _ ->
-              if (not e.Entity.on_rq) && not (curr_is rq e) then begin
-                Cfs.place_woken rq e;
-                Cfs.enqueue rq e
-              end;
-              preempt_check smp core e)
-      | None ->
+      let b = find_balloon smp t.Task.app in
+      if b != no_balloon then begin
+        let e = b.b_entities.(core) in
+        match smp.live with
+        | Some b' when b' == b ->
+            (* already forced in; make sure the core picks the waker up,
+               or re-aim the rotation plan at the new runnable member *)
+            if curr_is rq e then (
+              match e.Entity.kind with
+              | Entity.EGroup g ->
+                  if g.Entity.gcurr == Task.none then resched smp core
+                  else replan smp core
+              | Entity.ETask _ -> ())
+        | _ ->
+            if (not e.Entity.on_rq) && not (curr_is rq e) then begin
+              Cfs.place_woken rq e;
+              Cfs.enqueue rq e
+            end;
+            preempt_check smp core e
+      end
+      else
           let e = Hashtbl.find smp.task_entities t.Task.tid in
           if throttled_app smp t.Task.app then
             (* stays runnable but off the queue; the next quota refill
@@ -1059,41 +1025,33 @@ let wake smp t =
   | Task.Running | Task.Runnable -> t.Task.wake_pending <- true
   | Task.Exited -> ()
 
-let () = wake_impl := wake
-
 let spawn smp t =
-  let roster =
-    match Hashtbl.find_opt smp.apps t.Task.app with
-    | Some l -> l
-    | None ->
-        let l = ref [] in
-        Hashtbl.add smp.apps t.Task.app l;
-        l
-  in
-  roster := t :: !roster;
+  smp.tasks <- t :: smp.tasks;
+  t.Task.on_wake <- (fun () -> wake smp t);
   t.Task.last_wake <- Sim.now smp.sim;
   let core = t.Task.core in
   let rq = smp.rqs.(core) in
-  match balloon_of_app smp t.Task.app with
-  | Some b -> (
-      let e = b.b_entities.(core) in
-      (match e.Entity.kind with
-      | Entity.EGroup g -> g.Entity.gtasks <- t :: g.Entity.gtasks
-      | Entity.ETask _ -> ());
-      match smp.live with
-      | Some b' when b' == b ->
-          (match e.Entity.kind with
-          | Entity.EGroup g ->
-              if g.Entity.gcurr = None then resched smp core
-              else replan smp core
-          | Entity.ETask _ -> ())
-      | _ ->
-          if (not e.Entity.on_rq) && not (curr_is rq e) then begin
-            Cfs.place_woken rq e;
-            Cfs.enqueue rq e
-          end;
-          preempt_check smp core e)
-  | None ->
+  let b = find_balloon smp t.Task.app in
+  if b != no_balloon then begin
+    let e = b.b_entities.(core) in
+    (match e.Entity.kind with
+    | Entity.EGroup g -> g.Entity.gtasks <- t :: g.Entity.gtasks
+    | Entity.ETask _ -> ());
+    match smp.live with
+    | Some b' when b' == b -> (
+        match e.Entity.kind with
+        | Entity.EGroup g ->
+            if g.Entity.gcurr == Task.none then resched smp core
+            else replan smp core
+        | Entity.ETask _ -> ())
+    | _ ->
+        if (not e.Entity.on_rq) && not (curr_is rq e) then begin
+          Cfs.place_woken rq e;
+          Cfs.enqueue rq e
+        end;
+        preempt_check smp core e
+  end
+  else
       let e = Entity.of_task t in
       Hashtbl.replace smp.task_entities t.Task.tid e;
       Cfs.place_new rq e;
@@ -1106,6 +1064,23 @@ let spawn smp t =
 (* ------------------------------------------------------------------ *)
 (* Quota API                                                            *)
 
+(* Put [app]'s runnable tasks among [tasks] back on their queues. *)
+let rec requeue_app smp app = function
+  | [] -> ()
+  | t :: rest ->
+      (if t.Task.app = app && Task.is_runnable t then
+         match Hashtbl.find smp.task_entities t.Task.tid with
+         | e ->
+             let rq = smp.rqs.(t.Task.core) in
+             if (not e.Entity.on_rq) && not (curr_is rq e) then begin
+               Cfs.place_woken rq e;
+               t.Task.vruntime.ns <- e.Entity.vruntime.ns;
+               Cfs.enqueue rq e;
+               preempt_check smp t.Task.core e
+             end
+         | exception Not_found -> ());
+      requeue_app smp app rest
+
 let unthrottle smp app q =
   q.q_throttled <- false;
   Tm.incr smp.tm_unthrottles;
@@ -1113,28 +1088,18 @@ let unthrottle smp app q =
     Tt.instant ~track:cfs_track ~lane:"quota"
       ~name:("unthrottle " ^ app_label app)
       (Sim.now smp.sim);
-  List.iter
-    (fun t ->
-      if Task.is_runnable t then
-        match Hashtbl.find_opt smp.task_entities t.Task.tid with
-        | Some e ->
-            let rq = smp.rqs.(t.Task.core) in
-            if (not e.Entity.on_rq) && not (curr_is rq e) then begin
-              Cfs.place_woken rq e;
-              t.Task.vruntime.ns <- e.Entity.vruntime.ns;
-              Cfs.enqueue rq e;
-              preempt_check smp t.Task.core e
-            end
-        | None -> ())
-    (app_tasks smp ~app)
+  requeue_app smp app smp.tasks
 
-let quota_refill smp () =
+(* The budgeted apps are visited in the order of [quota_order], which is
+   the [quotas] table's own iteration order. *)
+let quota_refill smp =
   if not smp.stopped then
-    Hashtbl.iter
-      (fun app q ->
-        q.q_used <- 0;
-        if q.q_throttled then unthrottle smp app q)
-      smp.quotas
+    for i = 0 to smp.quota_order.Share_table.n - 1 do
+      let app = smp.quota_order.Share_table.apps.(i) in
+      let q = Hashtbl.find smp.quotas app in
+      q.q_used <- 0;
+      if q.q_throttled then unthrottle smp app q
+    done
 
 (* The app's quota drains at [running-core-count] core-ns per ns, so the
    projected balance pins the enforcement instant exactly; consumed time
@@ -1144,21 +1109,19 @@ let quota_used_now smp app q =
   let now = Sim.now smp.sim in
   let extra = ref 0 in
   for core = 0 to cores smp - 1 do
-    match running_app smp ~core with
-    | Some a when a = app -> extra := !extra + (now - smp.curr_started.(core))
-    | Some _ | None -> ()
+    if runs_app smp core app then extra := !extra + (now - smp.curr_started.(core))
   done;
   q.q_used + !extra
 
 let rec replan_quota smp app =
-  match Hashtbl.find_opt smp.quotas app with
-  | None -> ()
-  | Some q ->
+  match Hashtbl.find smp.quotas app with
+  | exception Not_found -> ()
+  | q ->
       Sim.cancel smp.sim q.q_event;
       q.q_event <- Sim.none;
       if
         (not smp.stopped) && (not q.q_throttled)
-        && balloon_of_app smp app = None
+        && find_balloon smp app == no_balloon
       then begin
         let ncores = shares_of smp app in
         if ncores > 0 then begin
@@ -1173,32 +1136,30 @@ let rec replan_quota smp app =
               else plan_horizon
             end
           in
-          q.q_event <-
-            Sim.schedule_after smp.sim dt (fun () -> quota_fired smp app)
+          q.q_event <- Sim.schedule_after smp.sim dt q.q_fire
         end
       end
 
 and quota_fired smp app =
-  match Hashtbl.find_opt smp.quotas app with
-  | None -> ()
-  | Some q ->
+  match Hashtbl.find smp.quotas app with
+  | exception Not_found -> ()
+  | q ->
       q.q_event <- Sim.none;
       if not smp.stopped then begin
         Tm.incr smp.tm_ev_quota;
         for core = 0 to cores smp - 1 do
-          match running_app smp ~core with
-          | Some a when a = app -> update_curr smp core
-          | Some _ | None -> ()
+          if runs_app smp core app then update_curr smp core
         done;
         let in_balloon =
           match smp.live with Some _ -> true | None -> false
         in
+        (* [Time.to_sec_f], spelled out so the floats are not boxed *)
         if
           (not in_balloon) && (not q.q_throttled)
-          && balloon_of_app smp app = None
+          && find_balloon smp app == no_balloon
           && shares_of smp app > 0
-          && Time.to_sec_f q.q_used
-             >= q.q_limit *. Time.to_sec_f smp.cfg.quota_period
+          && float_of_int q.q_used /. 1e9
+             >= q.q_limit *. (float_of_int smp.cfg.quota_period /. 1e9)
         then throttle smp app q
         else replan_quota smp app
       end
@@ -1212,24 +1173,21 @@ let rec arm_refill smp =
   | Some epoch when Sim.is_none smp.quota_next && not smp.stopped ->
       let period = smp.cfg.quota_period in
       let k = ((Sim.now smp.sim - epoch) / period) + 1 in
-      smp.quota_next <-
-        Sim.schedule_at smp.sim
-          (epoch + (k * period))
-          (fun () -> refill_fired smp)
+      smp.quota_next <- Sim.schedule_at smp.sim (epoch + (k * period)) smp.refill_fire
   | _ -> ()
 
 and refill_fired smp =
   smp.quota_next <- Sim.none;
   if not smp.stopped then begin
     Tm.incr smp.tm_ev_refill;
-    quota_refill smp ();
-    Hashtbl.iter (fun app _ -> replan_quota smp app) smp.quotas;
-    let active =
-      Hashtbl.fold
-        (fun app _ acc -> acc || shares_of smp app > 0)
-        smp.quotas false
-    in
-    if active then arm_refill smp
+    quota_refill smp;
+    let active = ref false in
+    for i = 0 to smp.quota_order.Share_table.n - 1 do
+      let app = smp.quota_order.Share_table.apps.(i) in
+      replan_quota smp app;
+      if shares_of smp app > 0 then active := true
+    done;
+    if !active then arm_refill smp
   end
 
 (* The grid starts lazily with the first quota, so an unbudgeted machine
@@ -1246,6 +1204,66 @@ let () =
       replan_quota smp app;
       arm_refill smp
 
+let create sim cpu ?(config = default_config) () =
+  let n = Psbox_hw.Cpu.cores cpu in
+  let smp =
+    {
+      sim;
+      cpu;
+      cfg = config;
+      rqs = Array.init n (fun core -> Cfs.create ~core);
+      curr_started = Array.make n Time.zero;
+      dispatched = Array.make n Time.zero;
+      work_events = Array.make n Sim.none;
+      plan_events = Array.make n Sim.none;
+      balloon_event = Sim.none;
+      work_fire = Array.make n ignore;
+      plan_fire = Array.make n ignore;
+      resched_fire = Array.make n ignore;
+      balloon_fire = ignore;
+      refill_fire = ignore;
+      span_tag = Array.make n no_span;
+      span_start = Array.make n Time.zero;
+      task_entities = Hashtbl.create 64;
+      tasks = [];
+      balloons = [];
+      live = None;
+      trace = Trace.create ~reader:"Smp.sched_trace" ~arm_with;
+      latencies = Trace.create ~reader:"Smp wakeup latencies" ~arm_with;
+      stopped = false;
+      share_bus = Bus.create ();
+      share_change = { Share_table.at = Time.zero; app = 0; share = 0.0 };
+      share_counts = Hashtbl.create 16;
+      quotas = Hashtbl.create 8;
+      quota_order = Share_table.create ();
+      quota_epoch = None;
+      quota_next = Sim.none;
+      tm_switch = Tm.counter "smp.ctx_switches";
+      tm_core_switch =
+        Array.init n (fun core ->
+            Tm.counter (Printf.sprintf "smp.core%d.ctx_switches" core));
+      tm_throttles = Tm.counter "smp.throttles";
+      tm_unthrottles = Tm.counter "smp.unthrottles";
+      tm_wake_lat =
+        Tm.histogram "smp.wakeup_latency_us"
+          ~edges:[| 1.; 10.; 100.; 1_000.; 10_000. |];
+      tm_lanes = Array.init n (Printf.sprintf "core%d");
+      tm_ev_preempt = Tm.counter "sim.events.smp.preempt";
+      tm_ev_rotate = Tm.counter "sim.events.smp.rotate";
+      tm_ev_balloon = Tm.counter "sim.events.smp.balloon_boundary";
+      tm_ev_quota = Tm.counter "sim.events.smp.quota_enforce";
+      tm_ev_refill = Tm.counter "sim.events.smp.quota_refill";
+    }
+  in
+  for core = 0 to n - 1 do
+    smp.work_fire.(core) <- (fun () -> work_fired smp core);
+    smp.plan_fire.(core) <- (fun () -> plan_fired smp core);
+    smp.resched_fire.(core) <- (fun () -> resched smp core)
+  done;
+  smp.balloon_fire <- (fun () -> balloon_fired smp);
+  smp.refill_fire <- (fun () -> refill_fired smp);
+  smp
+
 let set_quota smp ~app limit =
   match limit with
   | None -> (
@@ -1254,15 +1272,26 @@ let set_quota smp ~app limit =
           Sim.cancel smp.sim q.q_event;
           q.q_event <- Sim.none;
           if q.q_throttled then unthrottle smp app q;
-          Hashtbl.remove smp.quotas app
+          Hashtbl.remove smp.quotas app;
+          Share_table.remove smp.quota_order ~app
       | None -> ())
   | Some l ->
       let l = Float.max 0.0 l in
       (match Hashtbl.find_opt smp.quotas app with
       | Some q -> q.q_limit <- l
       | None ->
-          Hashtbl.replace smp.quotas app
-            { q_limit = l; q_used = 0; q_throttled = false; q_event = Sim.none });
+          let q =
+            {
+              q_limit = l;
+              q_used = 0;
+              q_throttled = false;
+              q_event = Sim.none;
+              q_fire = ignore;
+            }
+          in
+          q.q_fire <- (fun () -> quota_fired smp app);
+          Hashtbl.replace smp.quotas app q;
+          Share_table.set smp.quota_order ~app 1.0);
       ensure_quota_tick smp;
       replan_quota smp app
 
@@ -1275,7 +1304,7 @@ let quota smp ~app =
 (* Sandbox / unsandbox                                                  *)
 
 let sandbox smp ~app =
-  if balloon_of_app smp app <> None then
+  if find_balloon smp app != no_balloon then
     invalid_arg "Smp.sandbox: app already sandboxed";
   let n = cores smp in
   let entities = Array.init n (fun core -> Entity.group ~psbox_id:app ~core ()) in
@@ -1294,8 +1323,15 @@ let sandbox smp ~app =
       b_on_start = (fun () -> ());
       b_on_stop = (fun () -> ());
       b_total_loan = 0.0;
+      b_join = [||];
+      b_idle_check = ignore;
     }
   in
+  b.b_join <- Array.init n (fun j () -> join_balloon smp b j);
+  b.b_idle_check <-
+    (fun () ->
+      if b.b_live && not (Array.exists Entity.runnable b.b_entities) then
+        cosched_out smp ~local:0 b);
   let tasks = app_tasks smp ~app in
   (* pull tasks out of normal scheduling *)
   let touched_cores = ref [] in
@@ -1311,9 +1347,9 @@ let sandbox smp ~app =
             touched_cores := core :: !touched_cores;
             cancel_work smp core;
             if t.Task.state = Task.Running then t.Task.state <- Task.Runnable;
-            Cfs.set_curr rq None;
+            Cfs.set_curr rq Entity.none;
             Psbox_hw.Cpu.set_core_busy smp.cpu ~core false;
-            set_span smp core None
+            set_span smp core no_span
           end
           else Cfs.dequeue rq e;
           Hashtbl.remove smp.task_entities t.Task.tid
@@ -1351,7 +1387,7 @@ let sandbox smp ~app =
   b
 
 let unsandbox smp b =
-  if b.b_live then cosched_out smp b;
+  if b.b_live then cosched_out smp ~local:0 b;
   smp.balloons <- List.filter (fun b' -> not (b' == b)) smp.balloons;
   let touched = ref [] in
   Array.iteri
@@ -1360,16 +1396,16 @@ let unsandbox smp b =
       if curr_is rq e then begin
         touched := core :: !touched;
         (* detach without requeueing the group *)
-        (match running_task_of e with
-        | Some t -> if t.Task.state = Task.Running then t.Task.state <- Task.Runnable
-        | None -> ());
+        let t = running_task_of e in
+        if t != Task.none && t.Task.state = Task.Running then
+          t.Task.state <- Task.Runnable;
         (match e.Entity.kind with
-        | Entity.EGroup g -> g.Entity.gcurr <- None
+        | Entity.EGroup g -> g.Entity.gcurr <- Task.none
         | Entity.ETask _ -> ());
         cancel_work smp core;
-        Cfs.set_curr rq None;
+        Cfs.set_curr rq Entity.none;
         Psbox_hw.Cpu.set_core_busy smp.cpu ~core false;
-        set_span smp core None
+        set_span smp core no_span
       end
       else Cfs.dequeue rq e;
       match e.Entity.kind with

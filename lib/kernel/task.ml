@@ -22,6 +22,7 @@ type t = {
   mutable program : program;
   mutable wake_pending : bool;
   mutable last_wake : Psbox_engine.Time.t;
+  mutable on_wake : unit -> unit;
 }
 
 (* Domain-local so concurrent device simulations number their tasks
@@ -45,6 +46,23 @@ let create ~app ~name ?(weight = 1024.0) ?(core = 0) ~program () =
     program;
     wake_pending = false;
     last_wake = Psbox_engine.Time.zero;
+    on_wake = ignore;
+  }
+
+let none =
+  {
+    tid = -1;
+    app = -1;
+    name = "none";
+    weight = 1024.0;
+    state = Exited;
+    core = 0;
+    vruntime = { ns = 0.0 };
+    remaining = 0;
+    program = (fun () -> Exit);
+    wake_pending = false;
+    last_wake = Psbox_engine.Time.zero;
+    on_wake = ignore;
   }
 
 let is_runnable t = t.state = Runnable || t.state = Running

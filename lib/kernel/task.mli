@@ -36,11 +36,19 @@ type t = {
       (** a wake arrived while the task was still [Running]/[Runnable];
           consume it instead of blocking *)
   mutable last_wake : Psbox_engine.Time.t;  (** for latency statistics *)
+  mutable on_wake : unit -> unit;
+      (** wakes this task: the scheduler builds it once, at spawn, and a
+          [Sleep] schedules it instead of a fresh closure per sleep *)
 }
 
 val create :
   app:int -> name:string -> ?weight:float -> ?core:int -> program:program ->
   unit -> t
+
+val none : t
+(** A placeholder task, never scheduled: what a slot holds when no task
+    is there ("no task running in this group"), so hot paths test
+    [t == none] instead of allocating an option. It is [Exited]. *)
 
 val reset_ids : unit -> unit
 (** Restart tid numbering from 1 in the current domain. Tids are

@@ -54,13 +54,21 @@ type sampler = {
   s_names : string array;
   s_linear_names : string array;
   s_linear_map : int array;
-  s_read : unit -> float array;
+  s_read : float array -> unit;
+      (* write the cumulative feature vector, one value per name *)
   s_detach : unit -> unit;
 }
 
+let read_new s =
+  let f = Array.make (Array.length s.s_names) 0.0 in
+  s.s_read f;
+  f
+
 (* Per-OPP busy/active residency: settle the cumulative busy/active time
    into the OPP in effect since the last settle, on every OPP change and on
-   every read. Exact because the OPP is constant between changes. *)
+   every read. Exact because the OPP is constant between changes. [read f
+   i] writes the per-OPP busy times, then the per-OPP active times, into
+   [f] from index [i]. *)
 let per_opp_residency sim dvfs ~busy ~active =
   ignore sim;
   let opps = Dvfs.opps dvfs in
@@ -80,9 +88,10 @@ let per_opp_residency sim dvfs ~busy ~active =
     Bus.subscribe (Dvfs.changes dvfs) (fun ch ->
         settle ch.Dvfs.index_after)
   in
-  let read () =
+  let read f i =
     settle !cur;
-    (Array.copy busy_at, Array.copy active_at)
+    Array.blit busy_at 0 f i n;
+    Array.blit active_at 0 f (i + n) n
   in
   (read, fun () -> Bus.unsubscribe sub)
 
@@ -118,10 +127,9 @@ let cpu_sampler sys =
     s_linear_names = [| "dt_s"; "busy_s"; "active_s" |];
     s_linear_map = linear_map;
     s_read =
-      (fun () ->
-        let busy_at, active_at = read_opp () in
-        Array.concat
-          [ [| Time.to_sec_f (Sim.now sim - t0) |]; busy_at; active_at ]);
+      (fun f ->
+        f.(0) <- float_of_int (Sim.now sim - t0) /. 1e9;
+        read_opp f 1);
     s_detach = detach;
   }
 
@@ -157,16 +165,10 @@ let accel_sampler sys drv =
     s_linear_names = [| "dt_s"; "suspended_s"; "busy_s"; "active_s" |];
     s_linear_map = linear_map;
     s_read =
-      (fun () ->
-        let busy_at, active_at = read_opp () in
-        Array.concat
-          [
-            [|
-              Time.to_sec_f (Sim.now sim - t0); Accel.suspended_seconds dev;
-            |];
-            busy_at;
-            active_at;
-          ]);
+      (fun f ->
+        f.(0) <- float_of_int (Sim.now sim - t0) /. 1e9;
+        f.(1) <- Accel.suspended_seconds dev;
+        read_opp f 2);
     s_detach = detach;
   }
 
@@ -193,13 +195,13 @@ let wifi_sampler sys =
     s_linear_names = [| "dt_s"; "awake_s"; "txair_s"; "rxair_s" |];
     s_linear_map = linear_map;
     s_read =
-      (fun () ->
-        Array.concat
-          [
-            [| Time.to_sec_f (Sim.now sim - t0); Wifi.awake_seconds nic |];
-            Wifi.tx_airtime_by_level_seconds nic;
-            [| Wifi.rx_airtime_seconds nic |];
-          ]);
+      (fun f ->
+        f.(0) <- float_of_int (Sim.now sim - t0) /. 1e9;
+        f.(1) <- Wifi.awake_seconds nic;
+        for level = 0 to levels - 1 do
+          f.(2 + level) <- Wifi.tx_airtime_seconds nic ~level
+        done;
+        f.(2 + levels) <- Wifi.rx_airtime_seconds nic);
     s_detach = (fun () -> ());
   }
 
@@ -250,16 +252,20 @@ module Fit = struct
         done;
         Stats.solve ~min_pivot:1e-30 xtx xty
 
+  (* Sum each per-OPP feature into its collapsed (Linear) column of [out]. *)
+  let collapse ~map feat out =
+    Array.fill out 0 (Array.length out) 0.0;
+    for i = 0 to Array.length feat - 1 do
+      let j = map.(i) in
+      out.(j) <- out.(j) +. feat.(i)
+    done
+
   let project ~kind (trace : Trace.t) feat =
     match kind with
     | Per_opp -> feat
     | Linear ->
         let out = Array.make (Array.length trace.Trace.tr_linear_names) 0.0 in
-        Array.iteri
-          (fun i v ->
-            let j = trace.Trace.tr_linear_map.(i) in
-            out.(j) <- out.(j) +. v)
-          feat;
+        collapse ~map:trace.Trace.tr_linear_map feat out;
         out
 
   let fit ?ridge ~kind (trace : Trace.t) =
@@ -284,7 +290,9 @@ module Fit = struct
     if Array.length feat <> Array.length m.f_coeffs then
       invalid_arg "Model.Fit.predict_j: dimension mismatch";
     let acc = ref 0.0 in
-    Array.iteri (fun i v -> acc := !acc +. (m.f_coeffs.(i) *. v)) feat;
+    for i = 0 to Array.length feat - 1 do
+      acc := !acc +. (m.f_coeffs.(i) *. feat.(i))
+    done;
     !acc
 
   type errors = { e_mape_pct : float; e_rmse_w : float; e_max_ape_pct : float }
@@ -344,7 +352,7 @@ module Recorder = struct
     let t_s = Time.to_sec_f (System.now sys) in
     List.iter
       (fun rr ->
-        let f = rr.rr_s.s_read () in
+        let f = read_new rr.rr_s in
         let j = System.rail_energy_j sys ~name:rr.rr_s.s_rail in
         let df = Array.mapi (fun i v -> v -. rr.rr_prev_f.(i)) f in
         rr.rr_windows <-
@@ -360,7 +368,7 @@ module Recorder = struct
         (fun s ->
           {
             rr_s = s;
-            rr_prev_f = s.s_read ();
+            rr_prev_f = read_new s;
             rr_prev_j = System.rail_energy_j sys ~name:s.s_rail;
             rr_windows = [];
           })
@@ -400,10 +408,16 @@ end
 (* Online estimator with drift detection                                *)
 
 module Estimator = struct
+  (* A tick reads the features into [er_cur], subtracts [er_prev] into
+     [er_df] (collapsed into [er_lin] for a Linear model), then swaps the
+     two buffers: no array per tick. *)
   type est_rail = {
     mutable er_model : Fit.fitted;
     er_s : sampler;
-    mutable er_prev_f : float array;
+    mutable er_cur : float array;
+    mutable er_prev : float array;
+    er_df : float array;
+    er_lin : float array;
     mutable er_prev_j : float;
     er_ring : float array; (* recent per-window APE%, circular *)
     mutable er_ring_i : int;
@@ -445,24 +459,24 @@ module Estimator = struct
     let dt = Time.to_sec_f t.e_window in
     List.iter
       (fun er ->
-        let f = er.er_s.s_read () in
+        let f = er.er_cur and prev = er.er_prev and df = er.er_df in
+        er.er_s.s_read f;
         let j = System.rail_energy_j t.e_sys ~name:er.er_s.s_rail in
-        let df = Array.mapi (fun i v -> v -. er.er_prev_f.(i)) f in
+        for i = 0 to Array.length f - 1 do
+          df.(i) <- f.(i) -. prev.(i)
+        done;
         let dj = j -. er.er_prev_j in
-        er.er_prev_f <- f;
+        er.er_cur <- prev;
+        er.er_prev <- f;
         er.er_prev_j <- j;
-        let pred =
-          Fit.predict_j er.er_model
-            (Fit.project ~kind:er.er_model.Fit.f_kind
-               {
-                 Trace.tr_rail = er.er_s.s_rail;
-                 tr_names = er.er_s.s_names;
-                 tr_linear_names = er.er_s.s_linear_names;
-                 tr_linear_map = er.er_s.s_linear_map;
-                 tr_windows = [];
-               }
-               df)
+        let feat =
+          match er.er_model.Fit.f_kind with
+          | Fit.Per_opp -> df
+          | Fit.Linear ->
+              Fit.collapse ~map:er.er_s.s_linear_map df er.er_lin;
+              er.er_lin
         in
+        let pred = Fit.predict_j er.er_model feat in
         t.e_cum_pred_j <- t.e_cum_pred_j +. pred;
         t.e_cum_ledger_j <- t.e_cum_ledger_j +. dj;
         Tm.set er.er_g_est (pred /. dt);
@@ -509,7 +523,10 @@ module Estimator = struct
                 {
                   er_model = m;
                   er_s = s;
-                  er_prev_f = s.s_read ();
+                  er_cur = Array.make (Array.length s.s_names) 0.0;
+                  er_prev = read_new s;
+                  er_df = Array.make (Array.length s.s_names) 0.0;
+                  er_lin = Array.make (Array.length s.s_linear_names) 0.0;
                   er_prev_j = System.rail_energy_j sys ~name:s.s_rail;
                   er_ring = Array.make (max 1 mape_window) 0.0;
                   er_ring_i = 0;
@@ -567,7 +584,7 @@ module Estimator = struct
 
   (* Hot-swap a rail's model under the live estimator: the MAPE ring and
      drift latch restart from scratch so the published mape_pct reflects
-     only the new model, while the counter cursors (er_prev_f/er_prev_j)
+     only the new model, while the counter cursors (er_prev/er_prev_j)
      carry over — residency is a property of the machine, not the model. *)
   let swap_model t m =
     match

@@ -38,20 +38,17 @@ let repeat n f =
       Some ops
     end
 
-let submit_batch sys ~app ~driver specs ~wake =
-  let remaining = ref (List.length specs) in
-  List.iter
-    (fun s ->
+(* Submit a batch's commands in order; [on_complete] is the submitting
+   task's one completion handler. *)
+let rec submit_all ~app ~driver ~on_complete = function
+  | [] -> ()
+  | s :: rest ->
       let cmd =
-        Accel.command ~app:app.System.app_id ~kind:s.kind ~work_s:s.work_s
-          ~units:s.units ~intensity:s.intensity ()
+        Accel.command ~app ~kind:s.kind ~work_s:s.work_s ~units:s.units
+          ~intensity:s.intensity ()
       in
-      Accel_driver.submit driver ~app:app.System.app_id cmd
-        ~on_complete:(fun _ ->
-          decr remaining;
-          if !remaining = 0 then wake ()))
-    specs;
-  ignore sys
+      Accel_driver.submit driver ~app cmd ~on_complete;
+      submit_all ~app ~driver ~on_complete rest
 
 (* Fire-and-forget submission: the task resumes at driver acceptance (which
    an SGX-style driver defers while a foreign balloon holds the queue). *)
@@ -81,52 +78,67 @@ let deliver_response sys ~app ~socket ~bytes ~rtt ~wake =
          done))
 
 let spawn sys ~app ~name ?(core = 0) ?(weight = 1024.0) script =
-  let queue : op Queue.t = Queue.create () in
   let task = ref None in
   let the_task () = match !task with Some t -> t | None -> assert false in
   let wake () = Smp.wake (System.smp sys) (the_task ()) in
+  (* A task waits on at most one batch or send at a time, so one counter
+     and one handler of each kind, built here, serve all of them. *)
+  let outstanding = ref 0 in
+  let on_complete _ =
+    decr outstanding;
+    if !outstanding = 0 then wake ()
+  in
+  let on_sent _ = wake () in
+  (* the rest of the current step, walked in place *)
+  let ops = ref [] in
   let rec next () : Task.action =
-    if Queue.is_empty queue then
-      match script () with
-      | None -> Task.Exit
-      | Some ops ->
-          List.iter (fun op -> Queue.push op queue) ops;
-          next ()
-    else
-      match Queue.pop queue with
-      | Compute s -> Task.Run s
-      | Sleep s -> Task.Sleep s
-      | Count (key, v) ->
-          System.bump app key v;
-          next ()
-      | Effect f ->
-          f ();
-          next ()
-      | Gpu_batch specs ->
-          submit_batch sys ~app ~driver:(System.gpu sys) specs ~wake;
-          Task.Block
-      | Dsp_batch specs ->
-          submit_batch sys ~app ~driver:(System.dsp sys) specs ~wake;
-          Task.Block
-      | Gpu_async spec ->
-          submit_async sys ~app ~driver:(System.gpu sys) spec ~wake;
-          Task.Block
-      | Dsp_async spec ->
-          submit_async sys ~app ~driver:(System.dsp sys) spec ~wake;
-          Task.Block
-      | Send { socket; bytes } ->
-          Net_sched.send (System.net sys) ~app:app.System.app_id ~socket ~bytes
-            ~on_sent:(fun _ -> wake ());
-          Task.Block
-      | Send_async { socket; bytes } ->
-          Net_sched.send (System.net sys) ~app:app.System.app_id ~socket ~bytes
-            ~on_sent:(fun _ -> ());
-          next ()
-      | Request { socket; tx_bytes; rx_bytes; rtt } ->
-          Net_sched.send (System.net sys) ~app:app.System.app_id ~socket
-            ~bytes:tx_bytes ~on_sent:(fun _ ->
-              deliver_response sys ~app ~socket ~bytes:rx_bytes ~rtt ~wake);
-          Task.Block
+    match !ops with
+    | [] -> (
+        match script () with
+        | None -> Task.Exit
+        | Some step ->
+            ops := step;
+            next ())
+    | op :: rest -> (
+        ops := rest;
+        match op with
+        | Compute s -> Task.Run s
+        | Sleep s -> Task.Sleep s
+        | Count (key, v) ->
+            System.bump app key v;
+            next ()
+        | Effect f ->
+            f ();
+            next ()
+        | Gpu_batch specs -> batch (System.gpu sys) specs
+        | Dsp_batch specs -> batch (System.dsp sys) specs
+        | Gpu_async spec ->
+            submit_async sys ~app ~driver:(System.gpu sys) spec ~wake;
+            Task.Block
+        | Dsp_async spec ->
+            submit_async sys ~app ~driver:(System.dsp sys) spec ~wake;
+            Task.Block
+        | Send { socket; bytes } ->
+            Net_sched.send (System.net sys) ~app:app.System.app_id ~socket
+              ~bytes ~on_sent;
+            Task.Block
+        | Send_async { socket; bytes } ->
+            Net_sched.send (System.net sys) ~app:app.System.app_id ~socket
+              ~bytes ~on_sent:ignore;
+            next ()
+        | Request { socket; tx_bytes; rx_bytes; rtt } ->
+            Net_sched.send (System.net sys) ~app:app.System.app_id ~socket
+              ~bytes:tx_bytes ~on_sent:(fun _ ->
+                deliver_response sys ~app ~socket ~bytes:rx_bytes ~rtt ~wake);
+            Task.Block)
+  (* an empty batch has nothing to wait for: go straight on *)
+  and batch driver specs =
+    match specs with
+    | [] -> next ()
+    | _ ->
+        outstanding := List.length specs;
+        submit_all ~app:app.System.app_id ~driver ~on_complete specs;
+        Task.Block
   in
   let t = Task.create ~app:app.System.app_id ~name ~weight ~core ~program:next () in
   task := Some t;

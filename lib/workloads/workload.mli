@@ -19,8 +19,9 @@ type op =
   | Compute of Psbox_engine.Time.span  (** CPU burst *)
   | Sleep of Psbox_engine.Time.span
   | Gpu_batch of accel_spec list
-      (** submit all commands, block until every one completes *)
-  | Dsp_batch of accel_spec list
+      (** submit all commands, block until every one completes; an empty
+          batch has nothing to wait for and continues at once *)
+  | Dsp_batch of accel_spec list  (** as [Gpu_batch], on the DSP *)
   | Gpu_async of accel_spec
       (** submit one command and continue as soon as the driver {e accepts}
           it (fire-and-forget). Under the SGX-style [Lock_requests] driver,
@@ -52,7 +53,10 @@ val spawn :
   ?weight:float ->
   script ->
   Psbox_kernel.Task.t
-(** Compile and admit a task running the script. *)
+(** Compile and admit a task running the script. The task walks each
+    step's op list in place, and builds its wake, command-completion and
+    packet-sent handlers once: a task waits on at most one batch or send
+    at a time. *)
 
 val app_alive : Psbox_kernel.System.t -> Psbox_kernel.System.app -> bool
 (** Whether the app still has non-exited tasks. *)

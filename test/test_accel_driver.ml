@@ -222,6 +222,113 @@ let test_submission_blocks_predicate () =
   check_bool "per-process queues never block" false
     (Accel_driver.submission_blocks d ~app:2)
 
+(* Order oracle: the same random arrivals, rate gates, sandbox switches
+   and completions (the device models run alongside) drive this driver and
+   the list-building reference in [Ref_drivers]; both must dispatch the
+   same apps with the same latencies, and end on the same vruntimes to the
+   bit. *)
+type op =
+  | Submit of int * int (* app, work in 0.1 ms *)
+  | Rate of int * float option (* app, device-seconds per second *)
+  | Sandbox of int
+  | Unsandbox
+
+let prop_picks_match_reference =
+  let open QCheck.Gen in
+  let op =
+    frequency
+      [
+        (8, map2 (fun a w -> Submit (a, w)) (int_range 1 4) (int_range 1 80));
+        ( 2,
+          map2
+            (fun a r -> Rate (a, r))
+            (int_range 1 4)
+            (opt (float_range 0.05 2.0)) );
+        (1, map (fun a -> Sandbox a) (int_range 1 4));
+        (1, return Unsandbox);
+      ]
+  in
+  let gen =
+    quad bool (int_range 1 3) (int_range 1 4)
+      (list_size (int_range 1 40) (pair (int_range 0 150) op))
+  in
+  let print (rr, window, units, ops) =
+    Printf.sprintf "%s window %d units %d: %s"
+      (if rr then "round-robin" else "fair")
+      window units
+      (String.concat "; "
+         (List.map
+            (fun (ms, op) ->
+              match op with
+              | Submit (a, w) -> Printf.sprintf "%dms submit app%d %d" ms a w
+              | Rate (a, Some r) -> Printf.sprintf "%dms rate app%d %h" ms a r
+              | Rate (a, None) -> Printf.sprintf "%dms unrate app%d" ms a
+              | Sandbox a -> Printf.sprintf "%dms sandbox app%d" ms a
+              | Unsandbox -> Printf.sprintf "%dms unsandbox" ms)
+            ops))
+  in
+  QCheck.Test.make ~name:"driver picks match the list-building reference"
+    ~count:300 (QCheck.make ~print gen) (fun (rr, window, units, ops) ->
+      let device () =
+        let sim = Sim.create () in
+        (sim, Accel.create sim ~name:"acc" ~units ~autosuspend:(Time.ms 30) ())
+      in
+      let sim, dev = device () and rsim, rdev = device () in
+      let policy = if rr then Accel_driver.Round_robin else Accel_driver.Fair in
+      let d = Accel_driver.create sim dev ~policy ~window () in
+      Accel_driver.record_history d;
+      let r =
+        Ref_drivers.Accel_ref.create rsim rdev ~window
+          ~policy:(if rr then Ref_drivers.Accel_ref.Round_robin else Fair)
+      in
+      List.iter
+        (fun (ms, op) ->
+          let at = Time.ms ms in
+          let both f g =
+            ignore (Sim.schedule_at sim at f);
+            ignore (Sim.schedule_at rsim at g)
+          in
+          match op with
+          | Submit (app, w) ->
+              let work_s = float_of_int w *. 1e-4 in
+              both
+                (fun () ->
+                  Accel_driver.submit d ~app
+                    (Accel.command ~app ~kind:"k" ~work_s ())
+                    ~on_complete:ignore)
+                (fun () ->
+                  Ref_drivers.Accel_ref.submit r ~app
+                    (Accel.command ~app ~kind:"k" ~work_s ()))
+          | Rate (app, lim) ->
+              both
+                (fun () -> Accel_driver.set_rate d ~app lim)
+                (fun () -> Ref_drivers.Accel_ref.set_rate r ~app lim)
+          | Sandbox app ->
+              (* one sandboxed app at a time *)
+              both
+                (fun () ->
+                  match Accel_driver.sandboxed d with
+                  | None -> Accel_driver.sandbox d ~app
+                  | Some _ -> ())
+                (fun () ->
+                  match r.Ref_drivers.Accel_ref.sandboxed with
+                  | None -> Ref_drivers.Accel_ref.sandbox r ~app
+                  | Some _ -> ())
+          | Unsandbox ->
+              both
+                (fun () -> Accel_driver.unsandbox d)
+                (fun () -> Ref_drivers.Accel_ref.unsandbox r))
+        ops;
+      Sim.run_until sim (Time.sec 3);
+      Sim.run_until rsim (Time.sec 3);
+      let bits x = Int64.bits_of_float x in
+      Accel_driver.dispatch_latencies_us d = Ref_drivers.Accel_ref.dispatched r
+      && List.for_all
+           (fun app ->
+             bits (Accel_driver.vruntime d ~app)
+             = bits (Ref_drivers.Accel_ref.vruntime r ~app))
+           [ 1; 2; 3; 4 ])
+
 let suite =
   [
     ("dispatch and complete", `Quick, test_dispatch_and_complete);
@@ -235,4 +342,5 @@ let suite =
     ("sandbox conflict rejected", `Quick, test_sandbox_conflict_rejected);
     ("drain preserves all commands", `Quick, test_drain_preserves_all_commands);
     ("dispatch latency rises for sandboxed", `Quick, test_dispatch_latency_rises_for_sandboxed);
+    QCheck_alcotest.to_alcotest prop_picks_match_reference;
   ]

@@ -375,6 +375,23 @@ let test_observer_allocation_bounded () =
     true
     (observed -. bare <= observer_words_bound)
 
+(* Kernel allocation, bounded: the same bare machine, no observer. Its
+   steady-state event path (scheduler, drivers, device models, rails and
+   the workload programs) allocates only what an event really creates: a
+   command, a packet, a script step's op list, the boxed floats handed to
+   telemetry. The bound sits about 25% over the measured cost (see the
+   change log): a handler built per event, or a list or option per pick,
+   shows up as whole words per event. *)
+let kernel_words_bound = 28.0
+
+let test_kernel_allocation_bounded () =
+  let bare = words_per_event ~observers:false in
+  Alcotest.(check bool)
+    (Printf.sprintf "kernel allocates %.2f words/event, bound %.2f" bare
+       kernel_words_bound)
+    true
+    (bare <= kernel_words_bound)
+
 let suite =
   [
     Alcotest.test_case "random workloads: per-rail bit-exact conservation"
@@ -388,4 +405,6 @@ let suite =
       test_order_matches_reference;
     Alcotest.test_case "observer allocation per event is bounded" `Quick
       test_observer_allocation_bounded;
+    Alcotest.test_case "kernel allocation per event is bounded" `Quick
+      test_kernel_allocation_bounded;
   ]

@@ -17,10 +17,10 @@ let test_enqueue_pick_order () =
   Cfs.enqueue rq e1;
   Cfs.enqueue rq e2;
   check_int "leftmost is min vruntime" e2.Entity.eid
-    (Option.get (Cfs.leftmost rq)).Entity.eid;
+    (Cfs.leftmost rq).Entity.eid;
   Cfs.dequeue rq e2;
   check_int "then the next" e1.Entity.eid
-    (Option.get (Cfs.leftmost rq)).Entity.eid
+    (Cfs.leftmost rq).Entity.eid
 
 let test_enqueue_idempotent () =
   let rq = Cfs.create ~core:0 in
@@ -36,7 +36,7 @@ let test_charge_advances_vruntime () =
   let rq = Cfs.create ~core:0 in
   let t = task "a" in
   let e = Entity.of_task t in
-  Cfs.set_curr rq (Some e);
+  Cfs.set_curr rq e;
   Cfs.charge rq e 1_000_000;
   check_float "vruntime advanced by wall time at nice0" 1_000_000.0
     e.Entity.vruntime.ns;
@@ -46,7 +46,7 @@ let test_charge_weighted () =
   let rq = Cfs.create ~core:0 in
   let t = task ~weight:2048.0 "heavy" in
   let e = Entity.of_task t in
-  Cfs.set_curr rq (Some e);
+  Cfs.set_curr rq e;
   Cfs.charge rq e 1_000_000;
   check_float "half rate for double weight" 500_000.0 e.Entity.vruntime.ns
 
@@ -91,12 +91,12 @@ let test_group_entity_pick () =
   t2.Task.vruntime.ns <- 5.0;
   g.Entity.gtasks <- [ t1; t2 ];
   check_int "picks min-vruntime member" t2.Task.tid
-    (Option.get (Entity.group_pick g)).Task.tid;
+    (Entity.group_pick g).Task.tid;
   t2.Task.state <- Task.Blocked;
   check_int "skips blocked member" t1.Task.tid
-    (Option.get (Entity.group_pick g)).Task.tid;
+    (Entity.group_pick g).Task.tid;
   t1.Task.state <- Task.Blocked;
-  check_bool "no runnable member" true (Entity.group_pick g = None);
+  check_bool "no runnable member" true (Entity.group_pick g == Task.none);
   check_bool "group not runnable" false (Entity.runnable ge)
 
 let test_entity_app_of () =
@@ -117,7 +117,7 @@ let test_requeue_after_vruntime_change () =
   e1.Entity.vruntime.ns <- 30.0;
   Cfs.requeue rq e1;
   check_int "order follows new vruntime" e2.Entity.eid
-    (Option.get (Cfs.leftmost rq)).Entity.eid;
+    (Cfs.leftmost rq).Entity.eid;
   (* the stale key must not linger *)
   check_int "still two queued" 2 (Cfs.n_queued rq)
 

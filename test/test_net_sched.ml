@@ -165,6 +165,142 @@ let test_own_rx_metered_in_balloon () =
       check_bool "own RX lands inside a balloon" true inside
   | None -> Alcotest.fail "own rx never delivered")
 
+(* Order oracle, as for the accelerator driver: the same random sends,
+   rate gates and sandbox switches drive this scheduler and the
+   list-building reference in [Ref_drivers]; both must dispatch the same
+   apps with the same latencies, and end on the same credits and lost-byte
+   charge, to the bit. *)
+type op =
+  | Send of int * int (* app, bytes *)
+  | Rate of int * float option (* app, bytes per second *)
+  | Sandbox of int
+  | Unsandbox
+
+let prop_picks_match_reference =
+  let open QCheck.Gen in
+  let op =
+    frequency
+      [
+        (8, map2 (fun a b -> Send (a, b)) (int_range 1 4) (int_range 100 30_000));
+        ( 2,
+          map2
+            (fun a r -> Rate (a, r))
+            (int_range 1 4)
+            (opt (float_range 1e4 2e6)) );
+        (1, map (fun a -> Sandbox a) (int_range 1 4));
+        (1, return Unsandbox);
+      ]
+  in
+  let gen =
+    pair (int_range 1 3) (list_size (int_range 1 40) (pair (int_range 0 150) op))
+  in
+  let print (window, ops) =
+    Printf.sprintf "window %d: %s" window
+      (String.concat "; "
+         (List.map
+            (fun (ms, op) ->
+              match op with
+              | Send (a, b) -> Printf.sprintf "%dms send app%d %dB" ms a b
+              | Rate (a, Some r) -> Printf.sprintf "%dms rate app%d %h" ms a r
+              | Rate (a, None) -> Printf.sprintf "%dms unrate app%d" ms a
+              | Sandbox a -> Printf.sprintf "%dms sandbox app%d" ms a
+              | Unsandbox -> Printf.sprintf "%dms unsandbox" ms)
+            ops))
+  in
+  QCheck.Test.make ~name:"scheduler picks match the list-building reference"
+    ~count:300 (QCheck.make ~print gen) (fun (window, ops) ->
+      let sim = Sim.create () and rsim = Sim.create () in
+      let d = Net_sched.create sim (Wifi.create sim ()) ~window () in
+      Net_sched.record_history d;
+      let r = Ref_drivers.Net_ref.create rsim (Wifi.create rsim ()) ~window in
+      List.iter
+        (fun (ms, op) ->
+          let at = Time.ms ms in
+          let both f g =
+            ignore (Sim.schedule_at sim at f);
+            ignore (Sim.schedule_at rsim at g)
+          in
+          match op with
+          | Send (app, bytes) ->
+              both
+                (fun () -> Net_sched.send d ~app ~socket:1 ~bytes ~on_sent:ignore)
+                (fun () -> Ref_drivers.Net_ref.send r ~app ~bytes)
+          | Rate (app, lim) ->
+              both
+                (fun () -> Net_sched.set_rate d ~app lim)
+                (fun () -> Ref_drivers.Net_ref.set_rate r ~app lim)
+          | Sandbox app ->
+              (* one sandboxed app at a time *)
+              both
+                (fun () ->
+                  match Net_sched.sandboxed d with
+                  | None -> Net_sched.sandbox d ~app
+                  | Some _ -> ())
+                (fun () ->
+                  match r.Ref_drivers.Net_ref.sandboxed with
+                  | None -> Ref_drivers.Net_ref.sandbox r ~app
+                  | Some _ -> ())
+          | Unsandbox ->
+              both
+                (fun () -> Net_sched.unsandbox d)
+                (fun () -> Ref_drivers.Net_ref.unsandbox r))
+        ops;
+      Sim.run_until sim (Time.sec 3);
+      Sim.run_until rsim (Time.sec 3);
+      let bits x = Int64.bits_of_float x in
+      Net_sched.dispatch_latencies_us d = Ref_drivers.Net_ref.dispatched r
+      && Net_sched.lost_bytes_charged d = Ref_drivers.Net_ref.lost_bytes_charged r
+      && List.for_all
+           (fun app ->
+             bits (Net_sched.credit d ~app) = bits (Ref_drivers.Net_ref.credit r ~app))
+           [ 1; 2; 3; 4 ])
+
+(* The NIC's mode adaptation keeps a ring of recent frame airtimes with a
+   running sum; on any stream of frames it must pick the TX level the
+   list filter in [Ref_drivers.adapted_level] picks. Each frame goes on
+   the air the moment it is handed over (the NIC is idle then), a gap
+   after the previous one ended, so the level read right after [transmit]
+   is the one the frame got. *)
+let prop_mode_adaptation_matches_reference =
+  let gen =
+    QCheck.Gen.(
+      list_size (int_range 1 300)
+        (pair (frequency [ (3, return 0); (2, int_range 0 5_000); (1, int_range 0 300_000) ])
+           (int_range 50 60_000)))
+  in
+  let print frames =
+    String.concat "; "
+      (List.map (fun (gap, bytes) -> Printf.sprintf "+%dus %dB" gap bytes) frames)
+  in
+  QCheck.Test.make ~name:"mode adaptation matches the list filter" ~count:200
+    (QCheck.make ~print gen) (fun frames ->
+      let sim = Sim.create () in
+      let nic = Wifi.create sim () in
+      let levels = Wifi.tx_level_count nic in
+      let recent = ref [] and ok = ref true and rest = ref frames in
+      let send_next () =
+        match !rest with
+        | [] -> ()
+        | (gap, bytes) :: more ->
+            rest := more;
+            ignore
+              (Sim.schedule_after sim (Time.us gap) (fun () ->
+                   let now = Sim.now sim in
+                   Wifi.transmit nic (Wifi.packet ~app:1 ~socket:1 ~bytes ());
+                   if
+                     Wifi.tx_level nic
+                     <> Ref_drivers.adapted_level ~levels ~now !recent
+                   then ok := false))
+      in
+      Wifi.set_on_sent nic (fun p ->
+          (match (p.Wifi.air_start, p.Wifi.air_end) with
+          | Some t0, Some t1 -> recent := (t1, t1 - t0) :: !recent
+          | _ -> ok := false);
+          send_next ());
+      send_next ();
+      Sim.run sim;
+      !ok && !rest = [])
+
 let suite =
   [
     ("send completes", `Quick, test_send_completes);
@@ -175,4 +311,6 @@ let suite =
     ("rx deferral with virtual MACs", `Quick, test_rx_deferral_with_virtual_macs);
     ("rx not deferred without virtual MACs", `Quick, test_rx_pollutes_without_virtual_macs);
     ("own rx metered in balloon", `Quick, test_own_rx_metered_in_balloon);
+    QCheck_alcotest.to_alcotest prop_picks_match_reference;
+    QCheck_alcotest.to_alcotest prop_mode_adaptation_matches_reference;
   ]

@@ -57,6 +57,27 @@ let test_gpu_batch_blocks_until_done () =
   check_bool "waited for the batch" true (!t_done >= Time.ms 10);
   System.shutdown sys
 
+(* A batch of zero commands has nothing to wait for: the task goes straight
+   on instead of blocking for a completion that never comes. *)
+let test_empty_batch_continues () =
+  let sys = System.create ~cores:1 ~gpu:true ~dsp:true () in
+  let a = System.new_app sys ~name:"a" in
+  ignore
+    (W.spawn sys ~app:a ~name:"t" ~core:0
+       (W.repeat 3 (fun _ ->
+            [
+              W.Gpu_batch [];
+              W.Dsp_batch [];
+              W.Compute (Time.ms 1);
+              W.Count ("iterations", 1.0);
+            ])));
+  System.start sys;
+  W.run_until_idle sys ~apps:[ a ] ~timeout:(Time.sec 1);
+  Alcotest.(check (float 0.0)) "every iteration ran" 3.0
+    (System.counter a "iterations");
+  check_bool "exited" false (W.app_alive sys a);
+  System.shutdown sys
+
 (* Async submission: the task proceeds at acceptance, before completion. *)
 let test_gpu_async_proceeds () =
   let sys = System.create ~cores:1 ~gpu:true () in
@@ -191,6 +212,7 @@ let suite =
     ("effects and counters", `Quick, test_effect_and_counters);
     ("gpu batch blocks until done", `Quick, test_gpu_batch_blocks_until_done);
     ("gpu async proceeds at acceptance", `Quick, test_gpu_async_proceeds);
+    ("empty batch continues at once", `Quick, test_empty_batch_continues);
     ("network request roundtrip", `Quick, test_request_roundtrip);
     ("cpu apps produce work", `Quick, test_cpu_apps_produce_work);
     ("gpu apps produce commands", `Quick, test_gpu_apps_produce_commands);
